@@ -136,8 +136,8 @@ fn relay_data_plane(c: &mut Criterion) {
     }
     group.finish();
 
-    // poll() with nothing expired: the per-tick cost a daemon pays every
-    // 50 ms regardless of traffic.
+    // poll() with nothing expired: what a stale (lazily cancelled) wake
+    // costs a daemon worker, independent of the flow count.
     let mut group = c.benchmark_group("relay_poll_idle");
     group.sample_size(20);
     group.measurement_time(if quick() { meas } else { Duration::from_millis(400) });

@@ -59,7 +59,8 @@ use slicing_wire::{crc, FlowId, Packet, PacketBuilder, PacketHeader, PacketKind}
 use crate::time::Tick;
 use crate::wheel::TimerWheel;
 
-/// Timer-wheel bucket width. One bucket per daemon poll period.
+/// Timer-wheel bucket width. Bookkeeping only: drivers sleep until
+/// [`RelayShard::next_deadline`], and entries fire exactly on time.
 const WHEEL_GRANULARITY_MS: u64 = 50;
 /// Timer-wheel bucket count (horizon = 12.8 s; longer deadlines such as
 /// the flow TTL ride across rotations).
@@ -584,6 +585,13 @@ impl RelayShard {
     /// Number of pending timer-wheel entries (tests and diagnostics).
     pub fn pending_deadlines(&self) -> usize {
         self.wheel.len()
+    }
+
+    /// When [`poll`](RelayShard::poll) next has work: the earliest
+    /// pending wheel deadline (see [`TimerWheel::next_deadline`]), or
+    /// `None` with nothing scheduled. Drivers sleep until then.
+    pub fn next_deadline(&self) -> Option<Tick> {
+        self.wheel.next_deadline()
     }
 
     /// The decoded info of an established flow, if any (used by drivers

@@ -48,8 +48,9 @@ use crate::source::SourceSession;
 use crate::time::Tick;
 use crate::wheel::TimerWheel;
 
-/// Timer-wheel bucket width for session shards (one bucket per daemon
-/// poll period, matching the relay wheel).
+/// Timer-wheel bucket width for session shards (matching the relay
+/// wheel). Bookkeeping only: drivers sleep until
+/// [`SessionShard::next_deadline`], and wakes fire exactly on time.
 const WHEEL_GRANULARITY_MS: u64 = 50;
 /// Timer-wheel bucket count (12.8 s horizon; longer deadlines ride
 /// across rotations).
@@ -1587,6 +1588,13 @@ impl SessionShard {
         }
         self.expired = expired;
         out
+    }
+
+    /// When [`poll`](SessionShard::poll) next has work: the earliest
+    /// pending per-session wake, or `None` with every session idle.
+    /// Drivers sleep until then.
+    pub fn next_deadline(&self) -> Option<Tick> {
+        self.wheel.next_deadline()
     }
 
     /// One session's wheel entry fired: validate lazily and act.

@@ -7,6 +7,8 @@
 //! and [`poll_expired`](TimerWheel::poll_expired) touches only the
 //! buckets the clock has swept past since the previous poll. A poll that
 //! finds nothing due does no allocation and never looks at a live flow.
+//! [`next_deadline`](TimerWheel::next_deadline) says exactly when the
+//! next poll has work, so drivers sleep until then instead of ticking.
 //!
 //! Design notes:
 //!
@@ -79,6 +81,47 @@ impl<K> TimerWheel<K> {
         let idx = (bucket_time % self.buckets.len() as u64) as usize;
         self.buckets[idx].push((deadline, key));
         self.len += 1;
+    }
+
+    /// The earliest instant a [`poll_expired`](TimerWheel::poll_expired)
+    /// would deliver something, exactly: the minimum over every pending
+    /// entry (stale ones included — the wheel cannot tell) of its
+    /// deadline, with entries already behind the sweep reported at the
+    /// cursor's bucket start, the earliest time the next poll can run.
+    /// `None` when the wheel is empty.
+    ///
+    /// Drivers sleep until this instant instead of polling on a fixed
+    /// tick, so the bucket width is a bookkeeping granularity, not a
+    /// latency floor. Cost: the buckets from the cursor up to the first
+    /// one holding an entry due this rotation, plus their entries; only
+    /// a wheel whose every entry lies beyond the horizon is scanned in
+    /// full.
+    pub fn next_deadline(&self) -> Option<Tick> {
+        if self.len == 0 {
+            return None;
+        }
+        let n = self.buckets.len() as u64;
+        let floor = self.cursor * self.granularity_ms;
+        // Earliest entry seen so far that lies beyond this rotation.
+        let mut later: Option<u64> = None;
+        for bucket_time in self.cursor..self.cursor + n {
+            let mut here: Option<u64> = None;
+            for &(deadline, _) in &self.buckets[(bucket_time % n) as usize] {
+                let due = deadline.0.max(floor);
+                let slot = if due / self.granularity_ms == bucket_time {
+                    &mut here
+                } else {
+                    &mut later
+                };
+                *slot = Some(slot.map_or(due, |t| t.min(due)));
+            }
+            // Every entry in a later bucket of this rotation, and every
+            // entry beyond it, is due at a later bucket-time.
+            if let Some(t) = here {
+                return Some(Tick(t));
+            }
+        }
+        later.map(Tick)
     }
 
     /// Pop every entry with `deadline <= now` into `out` (appending, in
@@ -223,6 +266,61 @@ mod tests {
         // The wheel keeps working after the jump: exact firing resumes.
         assert!(drain(&mut w, day + 9_999).is_empty());
         assert_eq!(drain(&mut w, day + 10_000), vec![2]);
+    }
+
+    #[test]
+    fn next_deadline_is_the_earliest_entry() {
+        let mut w = TimerWheel::new(50, 64);
+        assert_eq!(w.next_deadline(), None);
+        w.schedule(Tick(730), 1);
+        w.schedule(Tick(120), 2);
+        w.schedule(Tick(140), 3);
+        assert_eq!(w.next_deadline(), Some(Tick(120)));
+        assert_eq!(drain(&mut w, 125), vec![2]);
+        assert_eq!(w.next_deadline(), Some(Tick(140)), "partial bucket");
+        assert_eq!(drain(&mut w, 140), vec![3]);
+        assert_eq!(w.next_deadline(), Some(Tick(730)));
+        assert_eq!(drain(&mut w, 730), vec![1]);
+        assert_eq!(w.next_deadline(), None);
+    }
+
+    #[test]
+    fn next_deadline_clamps_past_due_entries_to_the_cursor() {
+        let mut w = TimerWheel::new(50, 64);
+        let mut out = Vec::new();
+        w.poll_expired(Tick(10_020), &mut out); // cursor bucket starts at 10_000
+        w.schedule(Tick(10_400), 1);
+        w.schedule(Tick(3), 2); // long past: the next poll delivers it
+        assert_eq!(w.next_deadline(), Some(Tick(10_000)));
+        assert_eq!(drain(&mut w, 10_020), vec![2]);
+        assert_eq!(w.next_deadline(), Some(Tick(10_400)));
+    }
+
+    #[test]
+    fn next_deadline_sees_entries_beyond_the_horizon() {
+        // Horizon = 50 ms × 256 buckets = 12.8 s.
+        let mut w = TimerWheel::new(50, 256);
+        w.schedule(Tick(60_000), 1);
+        w.schedule(Tick(40_010), 2);
+        assert_eq!(w.next_deadline(), Some(Tick(40_010)));
+        // An in-horizon entry in a later bucket beats a beyond-horizon
+        // entry sharing an earlier bucket index.
+        w.schedule(Tick(40_010 - 12_800 * 3 + 50), 3); // bucket after #2's
+        assert_eq!(w.next_deadline(), Some(Tick(1_660)));
+        assert_eq!(drain(&mut w, 1_660), vec![3]);
+        assert_eq!(w.next_deadline(), Some(Tick(40_010)));
+    }
+
+    #[test]
+    fn next_deadline_counts_stale_entries_until_they_fire() {
+        // Lazy cancellation: a superseded entry still bounds the next
+        // wake (one spurious, harmless wake), then vanishes.
+        let mut w = TimerWheel::new(50, 64);
+        w.schedule(Tick(200), 7); // later re-armed…
+        w.schedule(Tick(500), 7); // …to here; the 200 entry is stale
+        assert_eq!(w.next_deadline(), Some(Tick(200)));
+        assert_eq!(drain(&mut w, 200), vec![7]); // caller re-validates
+        assert_eq!(w.next_deadline(), Some(Tick(500)));
     }
 
     #[test]

@@ -155,3 +155,62 @@ proptest! {
         prop_assert_eq!(got.len(), 1);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `TimerWheel::next_deadline` equals a brute-force minimum over
+    /// every pending entry (past-due entries count from the sweep
+    /// cursor's bucket start) across random schedule/poll sequences —
+    /// past deadlines, deadlines far beyond the horizon, re-armed
+    /// (stale) keys and polls that skip whole rotations — and a driver
+    /// that wakes at that instant always finds work.
+    #[test]
+    fn wheel_next_deadline_matches_brute_force(
+        granularity in 1u64..60,
+        buckets in 1usize..12,
+        ops in proptest::collection::vec(any::<u64>(), 1..160),
+    ) {
+        use slicing_core::wheel::TimerWheel;
+        use slicing_core::Tick;
+        let mut wheel = TimerWheel::new(granularity, buckets);
+        let horizon = granularity * buckets as u64;
+        let mut pending: Vec<(u64, u32)> = Vec::new();
+        let mut now = 0u64;
+        let mut floor = 0u64;
+        let mut out = Vec::new();
+        for (i, op) in ops.into_iter().enumerate() {
+            let arg = op >> 8;
+            if op % 3 != 0 {
+                // Schedule: up to 2 horizons in the past or 5 ahead.
+                let deadline = (now + arg % (7 * horizon + 1)).saturating_sub(2 * horizon);
+                let key = (arg % 8) as u32; // keys repeat: stale entries
+                wheel.schedule(Tick(deadline), key);
+                pending.push((deadline, key));
+            } else {
+                // Advance (sometimes by several rotations) and poll.
+                now += arg % (3 * horizon + 1);
+                out.clear();
+                wheel.poll_expired(Tick(now), &mut out);
+                floor = now / granularity * granularity;
+                let mut fired: Vec<(u64, u32)> = out.iter().map(|&(t, k)| (t.0, k)).collect();
+                let mut due: Vec<(u64, u32)> =
+                    pending.iter().copied().filter(|&(d, _)| d <= now).collect();
+                pending.retain(|&(d, _)| d > now);
+                fired.sort_unstable();
+                due.sort_unstable();
+                prop_assert_eq!(fired, due, "op {}", i);
+            }
+            let brute = pending.iter().map(|&(d, _)| d.max(floor)).min();
+            prop_assert_eq!(wheel.next_deadline().map(|t| t.0), brute, "op {}", i);
+            prop_assert_eq!(wheel.len(), pending.len());
+            // Waking at the reported instant always delivers something.
+            if let Some(at) = brute {
+                let mut probe = wheel.clone();
+                let mut got = Vec::new();
+                probe.poll_expired(Tick(at.max(now)), &mut got);
+                prop_assert!(!got.is_empty(), "op {}: empty wake at {}", i, at);
+            }
+        }
+    }
+}

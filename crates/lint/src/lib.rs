@@ -741,8 +741,9 @@ pub fn render_ledger(inventory: &[UnsafeSite]) -> String {
          (`cargo run -p slicing-lint -- --ci`) fails when this file drifts\n\
          from the tree, so any new `unsafe` shows up as a reviewable diff\n\
          here. `vendor/` entries are additionally policed by the\n\
-         `vendor-drift` rule (vendored crates are `#![forbid(unsafe_code)]`\n\
-         today and must stay that way unless a ledger entry justifies it).\n\n",
+         `vendor-drift` rule (vendored crates forbid or deny `unsafe_code`;\n\
+         the only exception is the vendored tokio's epoll reactor module,\n\
+         and any other vendored unsafe needs a ledger entry justifying it).\n\n",
     );
     out.push_str(&format!(
         "Total: {} unsafe sites across {} files ({} in vendor/).\n",

@@ -9,8 +9,9 @@
 //! * [`spawn_sharded_relay`] — the sharded runtime: one **ingress** task
 //!   peeks just the flow id out of each received buffer and dispatches
 //!   the frozen [`Bytes`] over an SPSC channel to the worker owning that
-//!   flow's [`RelayShard`]; each **worker** drives its shard (packets +
-//!   50 ms timer) and owns its own egress sender, batching consecutive
+//!   flow's [`RelayShard`]; each **worker** drives its shard (packets,
+//!   plus a sleep until the shard's next wheel deadline — no periodic
+//!   tick) and owns its own egress sender, batching consecutive
 //!   sends to the same neighbour before awaiting the transport. Flows
 //!   have shard affinity (`hash(flow_id) % N` via the shared
 //!   [`FlowRouter`]), so shards never contend on flow state and a relay
@@ -34,10 +35,14 @@
 //! its state.
 
 use std::collections::HashMap;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::task::Poll;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use slicing_core::wheel::TimerWheel;
 use slicing_core::{
     DestSession, FlowRouter, OverlayAddr, Packet, RelayNode, RelayOutput, RelayShard,
     RelayStatsAtomic, SessionConfig, SessionError, SessionId, SessionManager, SessionOutput,
@@ -57,12 +62,12 @@ use crate::{NodePort, PortSender};
 /// egress batches dense under load).
 const WORKER_DRAIN_BATCH: usize = 32;
 
-/// Timer cadence for the relay state machines. The select loops are
-/// biased toward the packet arm, so under sustained traffic the ticker
-/// arm may never win; every loop additionally runs overdue timer work
-/// at batch boundaries so gather flushes and flow GC cannot be starved
-/// by load.
-const POLL_PERIOD: Duration = Duration::from_millis(50);
+/// Bucket width of a relay worker's colocated-destination wheel
+/// (matching the session shards' wheels; bookkeeping only — wakes fire
+/// exactly on time).
+const DEST_WHEEL_GRANULARITY_MS: u64 = 50;
+/// Buckets of that wheel (12.8 s horizon; later wakes ride rotations).
+const DEST_WHEEL_BUCKETS: usize = 256;
 
 /// Events the daemons report to the experiment harness.
 #[derive(Clone, Debug)]
@@ -332,9 +337,15 @@ async fn ingress(
     // worker's inbox.
 }
 
-/// One shard's worker: owns the shard, drives packets and the 50 ms
-/// timer, reports events, and transmits through its own egress handle
-/// with consecutive same-neighbour sends batched.
+/// One shard's worker: owns the shard, drives packets and the shard's
+/// timer wheel, reports events, and transmits through its own egress
+/// handle with consecutive same-neighbour sends batched.
+///
+/// The worker sleeps until the earliest wheel deadline (its own or a
+/// colocated destination session's), a packet, or a stop — there is no
+/// periodic tick. One [`tokio::time::Sleep`] is kept and reset only when
+/// that deadline moves. The timer arm is selected first, so sustained
+/// traffic cannot starve a due gather flush or flow GC.
 ///
 /// With `dest_spec` set, the worker also plays the **destination role**
 /// for receiver flows its shard establishes: each gets a colocated
@@ -353,11 +364,8 @@ async fn shard_worker(
 ) {
     let addr = shard.addr();
     let stats = shard.shared_stats();
-    let mut ticker = tokio::time::interval(POLL_PERIOD);
-    ticker.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Delay);
     let mut scratch = Vec::new();
-    let mut last_poll = Instant::now();
-    let mut dests: HashMap<FlowId, DestSession> = HashMap::new();
+    let mut dests = dest_spec.map(DestRole::new);
     let handle = |shard: &mut RelayShard, from: OverlayAddr, bytes: Bytes| match Packet::from_bytes(
         bytes,
     ) {
@@ -369,17 +377,28 @@ async fn shard_worker(
             RelayOutput::default()
         }
     };
+    let mut timer = WakeTimer::new(epoch);
     loop {
-        let mut poll_boundary = false;
+        let next = shard
+            .next_deadline()
+            .into_iter()
+            .chain(dests.as_ref().and_then(DestRole::next_deadline))
+            .min();
         let mut outputs = tokio::select! {
+            _ = timer.until(next) => {
+                let now = now_tick(epoch);
+                let mut outputs = shard.poll(now);
+                if let Some(dests) = &mut dests {
+                    dests.poll(now, addr, epoch, &mut outputs.sends);
+                    // The relay's flow GC is authoritative: a session
+                    // whose flow was evicted dies with it.
+                    dests.collect_evicted(&shard);
+                }
+                outputs
+            }
             maybe = rx.recv() => {
                 let Some((from, bytes)) = maybe else { break };
                 handle(&mut shard, from, bytes)
-            }
-            _ = ticker.tick() => {
-                last_poll = Instant::now();
-                poll_boundary = true;
-                shard.poll(now_tick(epoch))
             }
             // Clean mid-flow shutdown (single-shard daemons; sharded
             // workers stop when the ingress closes their inbox).
@@ -393,23 +412,8 @@ async fn shard_worker(
                 Err(_) => break,
             }
         }
-        // Biased select: sustained traffic keeps the packet arm winning,
-        // so run overdue timer work at batch boundaries as well.
-        if last_poll.elapsed() >= POLL_PERIOD {
-            last_poll = Instant::now();
-            poll_boundary = true;
-            outputs.merge(shard.poll(now_tick(epoch)));
-        }
-        if let Some(spec) = &dest_spec {
-            drive_dest_role(
-                &mut shard,
-                &mut dests,
-                spec,
-                addr,
-                epoch,
-                &mut outputs,
-                poll_boundary,
-            );
+        if let Some(dests) = &mut dests {
+            dests.absorb(&shard, addr, epoch, &mut outputs);
         }
         emit_events(&events, addr, epoch, &outputs);
         flush_sends(&tx, outputs, &mut scratch).await;
@@ -419,66 +423,170 @@ async fn shard_worker(
     shard.publish_stats();
 }
 
-/// The colocated destination role of one relay shard worker: register
-/// sessions for freshly established receiver flows, feed relay
-/// deliveries through them, run their periodic work at poll boundaries,
-/// and GC sessions whose flow the relay evicted.
-fn drive_dest_role(
-    shard: &mut RelayShard,
-    dests: &mut HashMap<FlowId, DestSession>,
-    spec: &DestSessionSpec,
-    addr: OverlayAddr,
+/// A worker's one reusable timer: a [`tokio::time::Sleep`] reset only
+/// when the worker's earliest wheel deadline changes.
+struct WakeTimer {
     epoch: Instant,
-    outputs: &mut RelayOutput,
-    poll_boundary: bool,
-) {
-    let now = now_tick(epoch);
-    for &(flow, receiver) in &outputs.established {
-        if receiver && !dests.contains_key(&flow) {
-            if let Some(info) = shard.flow_info(flow) {
-                dests.insert(
-                    flow,
-                    DestSession::new(addr, flow, info.clone(), spec.config, spec.seed ^ flow.0),
-                );
+    sleep: tokio::time::Sleep,
+    armed: Option<Tick>,
+}
+
+impl WakeTimer {
+    fn new(epoch: Instant) -> Self {
+        WakeTimer {
+            epoch,
+            sleep: tokio::time::sleep_until(epoch),
+            armed: None,
+        }
+    }
+
+    /// A future completing at `next` (never, for `None`).
+    fn until(&mut self, next: Option<Tick>) -> impl Future<Output = ()> + Unpin + '_ {
+        if next != self.armed {
+            if let Some(t) = next {
+                let at = self.epoch + Duration::from_millis(t.0);
+                Pin::new(&mut self.sleep).reset(at);
+            }
+            self.armed = next;
+        }
+        std::future::poll_fn(move |cx| match self.armed {
+            Some(_) => Pin::new(&mut self.sleep).poll(cx),
+            None => Poll::Pending,
+        })
+    }
+}
+
+/// Colocated destination sessions on one relay shard worker's receiver
+/// flows. Like [`SessionShard`]'s slots, each session carries its own
+/// wheel wake at its [`DestSession::next_due`], so the worker runs only
+/// the sessions that are due and never scans the rest.
+struct DestRole {
+    spec: DestSessionSpec,
+    sessions: HashMap<FlowId, DestSlot>,
+    wheel: TimerWheel<FlowId>,
+    fired: Vec<(Tick, FlowId)>,
+    /// The shard's `flows_evicted` when sessions were last collected.
+    evicted_seen: u64,
+}
+
+/// A colocated session plus its earliest scheduled wheel wake (so
+/// re-scheduling never floods the wheel with duplicates).
+struct DestSlot {
+    dest: DestSession,
+    wake: Option<Tick>,
+}
+
+impl DestRole {
+    fn new(spec: DestSessionSpec) -> Self {
+        DestRole {
+            spec,
+            sessions: HashMap::new(),
+            wheel: TimerWheel::new(DEST_WHEEL_GRANULARITY_MS, DEST_WHEEL_BUCKETS),
+            fired: Vec::new(),
+            evicted_seen: 0,
+        }
+    }
+
+    fn next_deadline(&self) -> Option<Tick> {
+        self.wheel.next_deadline()
+    }
+
+    /// Register sessions for freshly established receiver flows and
+    /// feed the relay's deliveries through them.
+    fn absorb(
+        &mut self,
+        shard: &RelayShard,
+        addr: OverlayAddr,
+        epoch: Instant,
+        outputs: &mut RelayOutput,
+    ) {
+        let now = now_tick(epoch);
+        for &(flow, receiver) in &outputs.established {
+            if receiver && !self.sessions.contains_key(&flow) {
+                if let Some(info) = shard.flow_info(flow) {
+                    let dest = DestSession::new(
+                        addr,
+                        flow,
+                        info.clone(),
+                        self.spec.config,
+                        self.spec.seed ^ flow.0,
+                    );
+                    self.sessions.insert(flow, DestSlot { dest, wake: None });
+                    self.reschedule(flow);
+                }
+            }
+        }
+        // Repair re-setups splice new neighbour lists into the relay's
+        // flow; the colocated session's reverse routing must follow or
+        // its acks keep fanning to the replaced parent.
+        for &(flow, receiver) in &outputs.rekeyed {
+            if receiver {
+                if let (Some(slot), Some(info)) = (self.sessions.get_mut(&flow), shard.flow_info(flow))
+                {
+                    slot.dest.set_info(info.clone());
+                }
+            }
+        }
+        for r in &outputs.received {
+            if let Some(slot) = self.sessions.get_mut(&r.flow) {
+                let dout = slot.dest.handle_delivery(now, r.seq, r.plaintext.clone());
+                absorb_dest_output(&self.spec, addr, epoch, r.flow, dout, &mut outputs.sends);
+                self.reschedule(r.flow);
+            }
+        }
+        // Replays the relay suppressed mean a lost ack: re-announce.
+        for &(flow, seq) in &outputs.replayed {
+            if let Some(slot) = self.sessions.get_mut(&flow) {
+                let dout = slot.dest.handle_replay(now, seq);
+                absorb_dest_output(&self.spec, addr, epoch, flow, dout, &mut outputs.sends);
+                self.reschedule(flow);
             }
         }
     }
-    // Repair re-setups splice new neighbour lists into the relay's
-    // flow; the colocated session's reverse routing must follow or its
-    // acks keep fanning to the replaced parent.
-    for &(flow, receiver) in &outputs.rekeyed {
-        if receiver {
-            if let (Some(dest), Some(info)) = (dests.get_mut(&flow), shard.flow_info(flow)) {
-                dest.set_info(info.clone());
+
+    /// Run every session whose wheel wake fired (validated lazily: a
+    /// stale wake just re-arms).
+    fn poll(&mut self, now: Tick, addr: OverlayAddr, epoch: Instant, sends: &mut Vec<SendInstr>) {
+        let mut fired = std::mem::take(&mut self.fired);
+        fired.clear();
+        self.wheel.poll_expired(now, &mut fired);
+        for &(_, flow) in &fired {
+            let Some(slot) = self.sessions.get_mut(&flow) else {
+                continue; // collected since
+            };
+            slot.wake = None;
+            if slot.dest.next_due().is_some_and(|d| d.0 <= now.0) {
+                let dout = slot.dest.poll(now);
+                absorb_dest_output(&self.spec, addr, epoch, flow, dout, sends);
             }
+            self.reschedule(flow);
+        }
+        self.fired = fired;
+    }
+
+    /// Drop sessions whose relay flow was evicted (checked only when
+    /// the shard's eviction counter moved).
+    fn collect_evicted(&mut self, shard: &RelayShard) {
+        let evicted = shard.stats().flows_evicted;
+        if evicted != self.evicted_seen {
+            self.evicted_seen = evicted;
+            self.sessions.retain(|&flow, _| shard.flow_info(flow).is_some());
         }
     }
-    for r in &outputs.received {
-        if let Some(dest) = dests.get_mut(&r.flow) {
-            let dout = dest.handle_delivery(now, r.seq, r.plaintext.clone());
-            absorb_dest_output(spec, addr, epoch, r.flow, dout, &mut outputs.sends);
+
+    /// Re-arm the wheel at the session's earliest deadline, skipping
+    /// when an earlier entry is already pending.
+    fn reschedule(&mut self, flow: FlowId) {
+        let Some(slot) = self.sessions.get_mut(&flow) else {
+            return;
+        };
+        let Some(due) = slot.dest.next_due() else {
+            return;
+        };
+        if slot.wake.is_none_or(|w| due.0 < w.0) {
+            self.wheel.schedule(due, flow);
+            slot.wake = Some(due);
         }
-    }
-    // Replays the relay suppressed mean a lost ack: re-announce.
-    for &(flow, seq) in &outputs.replayed {
-        if let Some(dest) = dests.get_mut(&flow) {
-            let dout = dest.handle_replay(now, seq);
-            absorb_dest_output(spec, addr, epoch, flow, dout, &mut outputs.sends);
-        }
-    }
-    if poll_boundary && !dests.is_empty() {
-        let mut douts: Vec<(FlowId, slicing_core::DestOutput)> = Vec::new();
-        for (&flow, dest) in dests.iter_mut() {
-            if dest.next_due().is_some_and(|d| d.0 <= now.0) {
-                douts.push((flow, dest.poll(now)));
-            }
-        }
-        for (flow, dout) in douts {
-            absorb_dest_output(spec, addr, epoch, flow, dout, &mut outputs.sends);
-        }
-        // The relay's flow GC is authoritative: a session whose flow was
-        // evicted dies with it.
-        dests.retain(|flow, _| shard.flow_info(*flow).is_some());
     }
 }
 
@@ -944,8 +1052,13 @@ struct CmdLine {
 }
 
 /// One session shard's worker: owns the shard, drives packets, driver
-/// commands and the 50 ms wheel tick, transmits through the node's
+/// commands and the shard's timer wheel, transmits through the node's
 /// shared egress map, and reports session events.
+///
+/// Like the relay workers it sleeps until the earliest wheel deadline
+/// (timer arm first, so load cannot starve it). The transports push
+/// their congestion pace hint when it changes; the worker folds the
+/// slowest port's hint into the shard's pacing floor then.
 async fn session_worker(
     mut shard: SessionShard,
     mut packets: mpsc::Receiver<SessionPacket>,
@@ -959,8 +1072,12 @@ async fn session_worker(
         rx: cmds,
         _keep: None,
     };
-    let mut ticker = tokio::time::interval(POLL_PERIOD);
-    ticker.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Delay);
+    // Held for the worker's lifetime, so the hint line never closes
+    // (transports without a congestion signal never notify).
+    let (hint_tx, mut hints) = mpsc::channel::<()>(1);
+    for port in egress.values() {
+        port.watch_pace_hint(hint_tx.clone());
+    }
     let mut scratch = Vec::new();
     let handle = |shard: &mut SessionShard,
                   id: SessionId,
@@ -973,8 +1090,11 @@ async fn session_worker(
             SessionOutput::default()
         }
     };
+    let mut timer = WakeTimer::new(epoch);
     loop {
+        let next = shard.next_deadline();
         let mut out = tokio::select! {
+            _ = timer.until(next) => shard.poll(now_tick(epoch)),
             maybe = packets.recv() => {
                 let Some((id, local, from, bytes)) = maybe else { break };
                 handle(&mut shard, id, local, from, bytes)
@@ -991,17 +1111,16 @@ async fn session_worker(
                     }
                 }
             }
-            _ = ticker.tick() => {
-                // Fold the transport's congestion hint into the shard's
-                // pacing floor: sources slow their admission to what the
-                // wire is actually draining (0 clears the override).
+            _ = hints.recv() => {
+                // Sources slow their admission to what the wire is
+                // actually draining (0 clears the override).
                 let hint = egress
                     .values()
                     .filter_map(|p| p.pace_hint_ms())
                     .max()
                     .unwrap_or(0);
                 shard.set_pace_override(hint);
-                shard.poll(now_tick(epoch))
+                continue;
             }
         };
         for _ in 0..WORKER_DRAIN_BATCH {

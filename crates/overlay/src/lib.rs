@@ -109,6 +109,16 @@ impl PortSender {
         }
     }
 
+    /// Ask to be nudged on `notify` whenever this port's
+    /// [`pace_hint_ms`](PortSender::pace_hint_ms) changes (coalescing:
+    /// a full channel already holds a nudge). A no-op on transports
+    /// without a congestion signal; dead subscribers are pruned.
+    pub fn watch_pace_hint(&self, notify: tokio::sync::mpsc::Sender<()>) {
+        if let PortSenderInner::Udp(u) = &self.inner {
+            u.watch_pace_hint(notify);
+        }
+    }
+
     /// The sending node's address.
     pub fn addr(&self) -> OverlayAddr {
         self.addr

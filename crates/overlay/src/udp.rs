@@ -81,6 +81,9 @@ const PACER_BUCKETS: usize = 128;
 const PACER_QUEUE_CAP: usize = 4_096;
 /// Burst size (datagrams) the session pace hint is quoted for.
 const HINT_BURST: usize = 16;
+/// Longest a datagram deferred by injected reordering waits for a
+/// successor before it is delivered anyway (reordered, never wedged).
+const REORDER_HOLD: Duration = Duration::from_millis(5);
 
 /// Deterministic receive-path fault injection for a [`UdpNet`].
 ///
@@ -90,8 +93,9 @@ const HINT_BURST: usize = 16;
 pub struct UdpFaults {
     /// Drop probability.
     pub loss: f64,
-    /// Probability of deferring a datagram behind its successors
-    /// (reordering within a receive burst).
+    /// Probability of deferring a datagram behind its successor (held
+    /// until the next data datagram arrives, or for at most
+    /// `REORDER_HOLD` when none does).
     pub reorder: f64,
     /// Probability of delivering a datagram twice.
     pub duplicate: f64,
@@ -265,9 +269,9 @@ impl UdpNet {
                 ccs: HashMap::new(),
                 queues: HashMap::new(),
                 wheel: TimerWheel::new(PACER_GRANULARITY_MS, PACER_BUCKETS),
-                queued: 0,
             }),
             hint_ms: AtomicU64::new(0),
+            hint_watchers: Mutex::new(Vec::new()),
             wake: wake_tx,
         });
         tokio::spawn(pacer_task(
@@ -326,7 +330,10 @@ pub(crate) struct Pacer {
     state: Mutex<PacerState>,
     /// Latest session pace hint, ms (0 = none — link uncontended).
     hint_ms: AtomicU64,
-    /// Nudges the pacer task out of park when a queue forms.
+    /// Session workers nudged when `hint_ms` changes.
+    hint_watchers: Mutex<Vec<mpsc::Sender<()>>>,
+    /// Nudges the pacer task when a queue forms with a refill due
+    /// earlier than any it is sleeping toward.
     wake: mpsc::Sender<()>,
 }
 
@@ -334,8 +341,6 @@ struct PacerState {
     ccs: HashMap<OverlayAddr, NeighborCc>,
     queues: HashMap<OverlayAddr, VecDeque<Vec<u8>>>,
     wheel: TimerWheel<OverlayAddr>,
-    /// Datagrams across all queues.
-    queued: usize,
 }
 
 impl Pacer {
@@ -355,7 +360,13 @@ impl Pacer {
             .filter_map(|cc| cc.pace_hint_ms(HINT_BURST))
             .max()
             .unwrap_or(0);
-        self.hint_ms.store(hint, Ordering::Relaxed);
+        drop(s);
+        if self.hint_ms.swap(hint, Ordering::Relaxed) != hint {
+            // Push, don't poll: a full line already holds a nudge.
+            self.hint_watchers.lock().retain(|w| {
+                !matches!(w.try_send(()), Err(mpsc::error::TrySendError::Closed(_)))
+            });
+        }
     }
 
     fn pace_hint_ms(&self) -> Option<u64> {
@@ -376,6 +387,10 @@ impl Pacer {
 impl UdpSender {
     pub(crate) fn pace_hint_ms(&self) -> Option<u64> {
         self.pacer.pace_hint_ms()
+    }
+
+    pub(crate) fn watch_pace_hint(&self, notify: mpsc::Sender<()>) {
+        self.pacer.hint_watchers.lock().push(notify);
     }
 
     pub(crate) fn cc_snapshots(&self) -> Vec<(OverlayAddr, CcSnapshot)> {
@@ -442,7 +457,7 @@ impl UdpSender {
     ) -> (Vec<Vec<u8>>, usize) {
         let mut guard = self.pacer.state.lock();
         // Split the guard's borrow so the neighbour's controller stays
-        // bound across the disjoint `queues`/`queued`/`wheel` updates.
+        // bound across the disjoint `queues`/`wheel` updates.
         let s = &mut *guard;
         let cc = s
             .ccs
@@ -461,22 +476,20 @@ impl UdpSender {
                 .stats
                 .paced
                 .fetch_add(rest.len() as u64, Ordering::Relaxed);
-            let added;
-            {
-                let q = s.queues.entry(to).or_default();
-                let room = PACER_QUEUE_CAP.saturating_sub(q.len());
-                if rest.len() > room {
-                    overflow = rest.len() - room;
-                    rest.truncate(room);
-                }
-                added = rest.len();
-                q.extend(rest);
+            let q = s.queues.entry(to).or_default();
+            let room = PACER_QUEUE_CAP.saturating_sub(q.len());
+            if rest.len() > room {
+                overflow = rest.len() - room;
+                rest.truncate(room);
             }
-            s.queued += added;
+            q.extend(rest);
             let due = cc.next_token_due(now_us);
+            let earlier = s.wheel.next_deadline().is_none_or(|t| due.0 < t.0);
             s.wheel.schedule(due, to);
             drop(guard);
-            let _ = self.pacer.wake.try_send(());
+            if earlier {
+                let _ = self.pacer.wake.try_send(());
+            }
         }
         (datagrams, overflow)
     }
@@ -494,9 +507,10 @@ impl UdpSender {
     }
 }
 
-/// The pacer drain task: parks until a send finds an empty token
-/// bucket, then ticks the wheel until every queue drains. Holds only a
-/// `Weak` on the pacer so dropped ports tear the task down.
+/// The pacer drain task: sleeps until the wheel's next token grant
+/// (or, with nothing queued, until a send finds an empty token bucket),
+/// then drains every queue whose refill came due. Holds only a `Weak`
+/// on the pacer so dropped ports tear the task down.
 // lint: hot-path
 async fn pacer_task(
     pacer: Weak<Pacer>,
@@ -504,74 +518,78 @@ async fn pacer_task(
     sock: Arc<UdpSocket>,
     shared: Arc<NetShared>,
 ) {
-    // Reusable tick-loop buffers: neither allocates once warm.
-    // lint: allow(hot-path) — one-time task-startup construction, reused for every tick below.
+    // Reusable drain buffers: neither allocates once warm.
+    // lint: allow(hot-path) — one-time task-startup construction, reused for every drain below.
     let mut fired: Vec<(Tick, OverlayAddr)> = Vec::new();
-    // lint: allow(hot-path) — one-time task-startup construction, reused for every tick below.
+    // lint: allow(hot-path) — one-time task-startup construction, reused for every drain below.
     let mut batches: Vec<(OverlayAddr, Vec<Vec<u8>>)> = Vec::new();
-    'park: loop {
-        if wake.recv().await.is_none() {
-            return; // every sender handle is gone
-        }
-        loop {
-            tokio::time::sleep(Duration::from_millis(PACER_GRANULARITY_MS)).await;
-            let Some(pacer) = pacer.upgrade() else { return };
-            let now_us = shared.now_us();
-            batches.clear();
-            let mut drained = {
-                let mut s = pacer.state.lock();
-                fired.clear();
-                let now_tick = Tick(now_us / 1_000);
-                s.wheel.poll_expired(now_tick, &mut fired);
-                for &(_, addr) in &fired {
-                    // Lazy cancellation: duplicates and already-empty
-                    // queues re-validate to a no-op here.
-                    let granted = {
-                        let queue_len = s.queues.get(&addr).map_or(0, |q| q.len());
-                        if queue_len == 0 {
-                            continue;
-                        }
-                        s.ccs
-                            .get_mut(&addr)
-                            .map_or(queue_len, |cc| cc.take(now_us, queue_len))
-                    };
-                    let Some(q) = s.queues.get_mut(&addr) else {
-                        continue; // raced away; nothing to drain
-                    };
-                    // lint: allow(hot-path) — the batch must own its datagrams: it outlives the lock, crossing the send `.await`.
-                    let batch: Vec<Vec<u8>> = q.drain(..granted).collect();
-                    s.queued -= batch.len();
-                    if !batch.is_empty() {
-                        batches.push((addr, batch));
-                    }
-                    if !s.queues.get(&addr).is_some_and(|q| q.is_empty()) {
-                        let due = s
-                            .ccs
-                            .get(&addr)
-                            .map_or(Tick(now_us / 1_000 + 1), |cc| cc.next_token_due(now_us));
-                        s.wheel.schedule(due, addr);
-                    }
-                }
-                s.queued == 0
-            };
-            for (to, batch) in &batches {
-                let (ip, port) = to.to_ipv4();
-                let target = std::net::SocketAddr::from((ip, port));
-                shared.stats.send_calls.fetch_add(1, Ordering::Relaxed);
-                if let Ok(n) = sock.send_many_to(batch, target).await {
-                    shared
-                        .stats
-                        .datagrams_sent
-                        .fetch_add(n as u64, Ordering::Relaxed);
+    loop {
+        let next = match pacer.upgrade() {
+            Some(pacer) => pacer.state.lock().wheel.next_deadline(),
+            None => return,
+        };
+        match next {
+            // Nothing queued: park until a send queues something.
+            None => {
+                if wake.recv().await.is_none() {
+                    return; // every sender handle is gone
                 }
             }
-            if drained {
-                // Drain any stale wake nudge so the park below blocks.
-                while wake.try_recv().is_ok() {}
-                drained = pacer.state.lock().queued == 0;
-                if drained {
-                    continue 'park;
+            // Sleep until the grant; an earlier one nudges us awake.
+            Some(due) => {
+                let at = shared.epoch + Duration::from_millis(due.0);
+                tokio::select! {
+                    _ = tokio::time::sleep_until(at) => {}
+                    nudge = wake.recv() => if nudge.is_none() { return },
                 }
+            }
+        }
+        let Some(pacer) = pacer.upgrade() else { return };
+        let now_us = shared.now_us();
+        batches.clear();
+        {
+            let mut s = pacer.state.lock();
+            fired.clear();
+            s.wheel.poll_expired(Tick(now_us / 1_000), &mut fired);
+            for &(_, addr) in &fired {
+                // Lazy cancellation: duplicates and already-empty
+                // queues re-validate to a no-op here.
+                let granted = {
+                    let queue_len = s.queues.get(&addr).map_or(0, |q| q.len());
+                    if queue_len == 0 {
+                        continue;
+                    }
+                    s.ccs
+                        .get_mut(&addr)
+                        .map_or(queue_len, |cc| cc.take(now_us, queue_len))
+                };
+                let Some(q) = s.queues.get_mut(&addr) else {
+                    continue; // raced away; nothing to drain
+                };
+                // lint: allow(hot-path) — the batch must own its datagrams: it outlives the lock, crossing the send `.await`.
+                let batch: Vec<Vec<u8>> = q.drain(..granted).collect();
+                if !batch.is_empty() {
+                    batches.push((addr, batch));
+                }
+                if !s.queues.get(&addr).is_some_and(|q| q.is_empty()) {
+                    let due = s
+                        .ccs
+                        .get(&addr)
+                        .map_or(Tick(now_us / 1_000 + 1), |cc| cc.next_token_due(now_us));
+                    s.wheel.schedule(due, addr);
+                }
+            }
+        }
+        drop(pacer);
+        for (to, batch) in &batches {
+            let (ip, port) = to.to_ipv4();
+            let target = std::net::SocketAddr::from((ip, port));
+            shared.stats.send_calls.fetch_add(1, Ordering::Relaxed);
+            if let Ok(n) = sock.send_many_to(batch, target).await {
+                shared
+                    .stats
+                    .datagrams_sent
+                    .fetch_add(n as u64, Ordering::Relaxed);
             }
         }
     }
@@ -604,6 +622,14 @@ async fn recv_task(
                 Err(_) => break,
             },
             _ = tx.closed() => break,
+            _ = tokio::time::sleep(REORDER_HOLD), if held.is_some() => {
+                // No successor arrived: deliver the deferred datagram.
+                let Some(deferred) = held.take() else { continue };
+                if tx.send(deferred).await.is_err() {
+                    break;
+                }
+                continue;
+            }
         };
         shared.stats.recv_calls.fetch_add(1, Ordering::Relaxed);
         let now_us = shared.now_us();
@@ -679,13 +705,6 @@ async fn recv_task(
         }
         if exit {
             break;
-        }
-        // A datagram deferred past the end of its burst still delivers
-        // (reordered across bursts, never wedged).
-        if let Some(deferred) = held.take() {
-            if tx.send(deferred).await.is_err() {
-                break;
-            }
         }
         // Echo delay feedback to chatty or overdue senders.
         for (src, peer) in peers.iter_mut() {
@@ -845,6 +864,28 @@ mod tests {
         // Both arrive; at reorder=1.0 the first defers behind the next.
         assert_eq!((&one[..], &two[..]), (&b"second"[..], &b"first"[..]));
         assert!(net.stats().injected_reorders >= 1);
+    }
+
+    /// A datagram deferred by reordering with no successor to follow is
+    /// still delivered once the hold expires.
+    #[tokio::test]
+    async fn reordered_lone_datagram_is_not_wedged() {
+        let net = UdpNet::new(
+            UdpFaults {
+                reorder: 1.0,
+                ..Default::default()
+            },
+            11,
+        );
+        let a = net.attach().await.unwrap();
+        let mut b = net.attach().await.unwrap();
+        a.tx.send(b.addr, Bytes::from(&b"alone"[..])).await;
+        let got = tokio::time::timeout(Duration::from_secs(5), b.rx.recv())
+            .await
+            .expect("a held datagram must be released")
+            .unwrap();
+        assert_eq!(got.1, &b"alone"[..]);
+        assert_eq!(net.stats().injected_reorders, 1);
     }
 
     #[tokio::test]
