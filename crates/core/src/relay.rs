@@ -1671,9 +1671,10 @@ impl RelayShard {
 /// per overlay node, handling any number of concurrent flows. This is a
 /// zero-overhead facade over one [`RelayShard`] — the packet path is a
 /// direct delegation with no routing, no locking and no atomics — kept
-/// for tests, the deterministic simulators and the non-sharded daemon.
-/// Use [`crate::shard::ShardedRelay`] to spread the same engine over
-/// multiple cores.
+/// for tests, examples, the deterministic simulators and the benches.
+/// The async runtime runs relays as [`crate::shard::ShardedRelay`]s
+/// (one shard builds the same [`RelayShard`] as
+/// [`RelayNode::with_config`]).
 pub struct RelayNode {
     shard: RelayShard,
 }
@@ -1756,15 +1757,6 @@ impl RelayNode {
         plaintext: &[u8],
     ) -> Option<Vec<SendInstr>> {
         self.shard.send_reverse(now, flow, seq, plaintext)
-    }
-
-    /// Split into the underlying shard, its router and its shared stats
-    /// (the async daemon moves the shard into a worker task and keeps
-    /// the other two).
-    pub fn into_parts(self) -> (RelayShard, FlowRouter, Arc<RelayStatsAtomic>) {
-        let router = self.shard.router.clone();
-        let shared = self.shard.shared_stats();
-        (self.shard, router, shared)
     }
 }
 

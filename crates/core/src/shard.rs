@@ -33,7 +33,7 @@ use slicing_graph::info::NodeInfo;
 use slicing_graph::OverlayAddr;
 use slicing_wire::{FlowId, Packet};
 
-use crate::relay::{RelayConfig, RelayNode, RelayOutput, RelayShard, RelayStats, RelayStatsAtomic};
+use crate::relay::{RelayConfig, RelayOutput, RelayShard, RelayStats, RelayStatsAtomic};
 use crate::time::Tick;
 
 /// Routes packets to shards by flow id.
@@ -111,10 +111,10 @@ impl FlowRouter {
 /// flow id.
 ///
 /// The synchronous front used here keeps the same `&mut self` API as
-/// [`RelayNode`] (so the deterministic test network and the benches can
-/// drive either), while [`ShardedRelay::into_parts`] splits ownership
-/// for the async runtime: each shard moves into its own worker task and
-/// the [`FlowRouter`] moves into the ingress dispatcher.
+/// [`crate::RelayNode`] (so the deterministic test network and the
+/// benches can drive either), while [`ShardedRelay::into_parts`] splits
+/// ownership for the async runtime: each shard moves into its own worker
+/// task and the [`FlowRouter`] moves into the ingress dispatcher.
 pub struct ShardedRelay {
     addr: OverlayAddr,
     shards: Vec<RelayShard>,
@@ -249,20 +249,6 @@ impl ShardedRelay {
     /// dispatcher) and the shared stats.
     pub fn into_parts(self) -> (Vec<RelayShard>, FlowRouter, Arc<RelayStatsAtomic>) {
         (self.shards, self.router, self.shared)
-    }
-}
-
-impl From<RelayNode> for ShardedRelay {
-    /// A single-shard relay from the classic facade (routing is a no-op).
-    fn from(node: RelayNode) -> Self {
-        let addr = node.addr();
-        let (shard, router, shared) = node.into_parts();
-        ShardedRelay {
-            addr,
-            shards: vec![shard],
-            router,
-            shared,
-        }
     }
 }
 

@@ -8,10 +8,9 @@ use rand::Rng;
 /// A finite field element.
 ///
 /// Implementations are small `Copy` wrappers over an unsigned integer.
-/// Both provided fields ([`crate::Gf256`], [`crate::Gf65536`]) have
-/// characteristic 2, so addition and subtraction coincide (XOR); the trait
-/// still exposes `sub` separately so generic code reads like the algebra in
-/// the paper.
+/// The provided field, [`crate::Gf256`], has characteristic 2, so
+/// addition and subtraction coincide (XOR); the trait still exposes `sub`
+/// separately so generic code reads like the algebra in the paper.
 pub trait Field: Copy + Clone + Eq + PartialEq + Debug + Hash + Send + Sync + 'static {
     /// Number of bytes in the canonical little-endian encoding of an element.
     const BYTES: usize;
@@ -89,62 +88,31 @@ pub trait Field: Copy + Clone + Eq + PartialEq + Debug + Hash + Send + Sync + 's
 
     // ---- bulk slice hooks ------------------------------------------------
     //
-    // The element-wise defaults below are what every field gets for free;
-    // `Gf256` overrides them to stream through the 64 KiB compile-time
-    // multiplication table (one L1-resident row per fixed coefficient,
-    // one 2-D lookup per varying pair), the same table behind
-    // [`crate::bulk`], and `Gf65536` overrides them with the word-slice
-    // kernels (`bulk::mul_add_slice16` and friends — table fetch and
-    // `log c` hoisted out of the loop). All matrix and dot-product code
-    // routes through these hooks, so the ports cover `mul_mat`,
-    // `mul_vec`, `rank`, `inverse`, `solve` and the `mds` generator
-    // constructions at once.
+    // All matrix and dot-product code routes through these hooks, so an
+    // implementation's bulk kernels cover `mul_mat`, `mul_vec`, `rank`,
+    // `inverse`, `solve` and the `mds` generator constructions at once.
+    // `Gf256` streams them through the runtime-dispatched kernels of
+    // [`crate::bulk`].
 
     /// Dot product `Σ a[i]·b[i]` over equal-length slices.
-    fn dot_slices(a: &[Self], b: &[Self]) -> Self {
-        let mut acc = Self::zero();
-        for (&x, &y) in a.iter().zip(b.iter()) {
-            acc = acc.add(x.mul(y));
-        }
-        acc
-    }
+    fn dot_slices(a: &[Self], b: &[Self]) -> Self;
 
     /// `acc[i] += c · src[i]` for all `i` (axpy).
-    fn axpy_slices(acc: &mut [Self], c: Self, src: &[Self]) {
-        if c.is_zero() {
-            return;
-        }
-        for (a, &s) in acc.iter_mut().zip(src.iter()) {
-            *a = a.add(c.mul(s));
-        }
-    }
+    fn axpy_slices(acc: &mut [Self], c: Self, src: &[Self]);
 
     /// `row[i] = c · row[i]` for all `i` (in-place scale).
-    fn scale_slices(row: &mut [Self], c: Self) {
-        for v in row.iter_mut() {
-            *v = v.mul(c);
-        }
-    }
+    fn scale_slices(row: &mut [Self], c: Self);
 
     /// `dst[i] -= c · src[i]` for all `i` — the Gaussian-elimination row
     /// update. Coincides with [`Field::axpy_slices`] in characteristic 2.
-    fn sub_scaled_slices(dst: &mut [Self], c: Self, src: &[Self]) {
-        if c.is_zero() {
-            return;
-        }
-        for (d, &s) in dst.iter_mut().zip(src.iter()) {
-            *d = d.sub(c.mul(s));
-        }
-    }
+    fn sub_scaled_slices(dst: &mut [Self], c: Self, src: &[Self]);
 }
 
 /// Dot product of two equal-length slices of field elements.
 ///
 /// This is the inner loop of all slicing encode/decode/recombine
 /// operations, kept free-standing so benches can measure it directly.
-/// Dispatches through [`Field::dot_slices`] — for [`crate::Gf256`] that
-/// is one 64 KiB-table lookup per element pair instead of the log/exp
-/// dance.
+/// Dispatches through [`Field::dot_slices`].
 #[inline]
 pub fn dot<F: Field>(a: &[F], b: &[F]) -> F {
     debug_assert_eq!(a.len(), b.len());
@@ -153,7 +121,7 @@ pub fn dot<F: Field>(a: &[F], b: &[F]) -> F {
 
 /// `acc[i] += c * src[i]` for all `i` — the axpy kernel used by matrix
 /// multiplication and network-coding recombination. Dispatches through
-/// [`Field::axpy_slices`] (one table row per call for [`crate::Gf256`]).
+/// [`Field::axpy_slices`].
 #[inline]
 pub fn axpy<F: Field>(acc: &mut [F], c: F, src: &[F]) {
     debug_assert_eq!(acc.len(), src.len());
@@ -178,7 +146,7 @@ pub fn sub_scaled<F: Field>(dst: &mut [F], c: F, src: &[F]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Gf256, Gf65536};
+    use crate::Gf256;
 
     fn axioms_hold<F: Field>() {
         let mut rng = rand::thread_rng();
@@ -212,11 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn gf65536_axioms() {
-        axioms_hold::<Gf65536>();
-    }
-
-    #[test]
     fn pow_matches_repeated_mul() {
         let mut rng = rand::thread_rng();
         let a = Gf256::random_nonzero(&mut rng);
@@ -246,9 +209,8 @@ mod tests {
 
     #[test]
     fn bulk_hooks_match_scalar_semantics() {
-        // Gf256's table-backed overrides must agree with the element-wise
-        // defaults (checked here via explicit scalar loops) for every
-        // kernel the matrix code uses.
+        // Gf256's kernel-backed hooks must agree with element-wise
+        // scalar loops for every kernel the matrix code uses.
         let mut rng = rand::thread_rng();
         for len in [0usize, 1, 7, 64, 255] {
             let a: Vec<Gf256> = (0..len).map(|_| Gf256::random(&mut rng)).collect();
@@ -288,51 +250,12 @@ mod tests {
     }
 
     #[test]
-    fn gf65536_hooks_match_scalar_semantics() {
-        // Gf65536's kernel-backed overrides must agree with the
-        // element-wise defaults for every kernel the matrix code uses.
-        let mut rng = rand::thread_rng();
-        for len in [0usize, 1, 7, 64, 255] {
-            let a: Vec<Gf65536> = (0..len).map(|_| Gf65536::random(&mut rng)).collect();
-            let b: Vec<Gf65536> = (0..len).map(|_| Gf65536::random(&mut rng)).collect();
-            for c in [Gf65536::new(0), Gf65536::new(1), Gf65536::new(0xBEEF)] {
-                let mut want = Gf65536::zero();
-                for (&x, &y) in a.iter().zip(b.iter()) {
-                    want = want.add(x.mul(y));
-                }
-                assert_eq!(dot(&a, &b), want, "dot len {len}");
-                let mut got = a.clone();
-                axpy(&mut got, c, &b);
-                let want: Vec<Gf65536> = a
-                    .iter()
-                    .zip(b.iter())
-                    .map(|(&x, &y)| x.add(c.mul(y)))
-                    .collect();
-                assert_eq!(got, want, "axpy len {len} c {c:?}");
-                let mut got = a.clone();
-                scale(&mut got, c);
-                let want: Vec<Gf65536> = a.iter().map(|&x| x.mul(c)).collect();
-                assert_eq!(got, want, "scale len {len} c {c:?}");
-                let mut got = a.clone();
-                sub_scaled(&mut got, c, &b);
-                let want: Vec<Gf65536> = a
-                    .iter()
-                    .zip(b.iter())
-                    .map(|(&x, &y)| x.sub(c.mul(y)))
-                    .collect();
-                assert_eq!(got, want, "sub_scaled len {len} c {c:?}");
-            }
-        }
-    }
-
-    #[test]
     fn byte_round_trip() {
-        let mut rng = rand::thread_rng();
-        for _ in 0..64 {
-            let a = Gf65536::random(&mut rng);
-            let mut buf = [0u8; 2];
+        for v in 0..=255u8 {
+            let a = Gf256::new(v);
+            let mut buf = [0u8; Gf256::BYTES];
             a.write_bytes(&mut buf);
-            assert_eq!(Gf65536::read_bytes(&buf), a);
+            assert_eq!(Gf256::read_bytes(&buf), a);
         }
     }
 }

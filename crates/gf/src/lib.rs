@@ -3,11 +3,9 @@
 //! Everything the paper's coding layer needs lives here:
 //!
 //! * [`Field`] — the trait all coded arithmetic is generic over. The paper
-//!   (note 1, §4.3.2) works in `F_{p^q}`; we provide the two binary
-//!   extension fields it effectively uses:
-//!   [`Gf256`] (byte-oriented payload coding) and [`Gf65536`]
-//!   (word-oriented, matching the paper's example of splitting an IP
-//!   address into 16-bit low/high words, Eq. 1).
+//!   (note 1, §4.3.2) works in a generic `F_{p^q}`; this implementation
+//!   instantiates it as GF(2⁸) only, [`Gf256`]: a byte of payload is one
+//!   element, so slicing a buffer needs no re-packing.
 //! * [`Matrix`] — dense row-major matrices with Gauss–Jordan inversion,
 //!   rank, multiplication and linear solving. Used for the random
 //!   transform `A`, its inverse at the receiving node (`I = A⁻¹ I*`,
@@ -37,13 +35,11 @@
 pub mod bulk;
 pub mod field;
 pub mod gf256;
-pub mod gf65536;
 pub mod matrix;
 pub mod mds;
 pub mod simd;
 
 pub use field::{axpy, dot, scale, sub_scaled, Field};
 pub use gf256::Gf256;
-pub use gf65536::Gf65536;
 pub use matrix::Matrix;
 pub use simd::Backend;

@@ -1,5 +1,4 @@
-//! Runtime-dispatched SIMD kernels for the GF(2⁸)/GF(2¹⁶) bulk
-//! operations.
+//! Runtime-dispatched SIMD kernels for the GF(2⁸) bulk operations.
 //!
 //! Every bulk entry point in [`crate::bulk`] routes through one of three
 //! [`Backend`]s, chosen **once** at first use and cached for the life of
@@ -9,9 +8,9 @@
 //!   implementation. Slowest; exists as the oracle every other path is
 //!   tested against, and as the `SLICING_GF_FORCE=scalar` escape hatch.
 //! * [`Backend::Swar`] — the table-driven paths (one L1-resident 256-byte
-//!   multiplication row per GF(2⁸) coefficient, hoisted log/exp for
-//!   GF(2¹⁶), `u64` SWAR XOR). Always available on every architecture;
-//!   this is the fallback when no SIMD ISA is detected.
+//!   multiplication row per coefficient, `u64` SWAR XOR). Always
+//!   available on every architecture; this is the fallback when no SIMD
+//!   ISA is detected.
 //! * [`Backend::Simd`] — `std::arch` kernels using the split-nibble
 //!   multiply (PSHUFB on x86_64, TBL on aarch64; see
 //!   [`crate::bulk`] for the per-operation details). Selected when the
@@ -74,11 +73,6 @@ mod portable_fallback {
     //! dispatch arms typecheck on every target.
     use crate::bulk;
     use crate::simd::Backend;
-    use crate::Gf65536;
-
-    /// Mirrors the arch modules' GF(2¹⁶) length threshold; unused at
-    /// runtime here but referenced by the dispatch arms.
-    pub(crate) const MIN_LEN16: usize = 64;
 
     pub(crate) fn axpy8(dst: &mut [u8], c: u8, src: &[u8]) {
         bulk::mul_add_slice_on(Backend::Swar, dst, c, src);
@@ -101,16 +95,6 @@ mod portable_fallback {
     }
     pub(crate) fn fused8(outs: &mut [&mut [u8]], coeffs: &[u8], srcs: &[&[u8]]) {
         bulk::mul_add_fused_on(Backend::Swar, outs, coeffs, srcs);
-    }
-    pub(crate) fn axpy16(acc: &mut [Gf65536], c: Gf65536, src: &[Gf65536]) {
-        bulk::mul_add_slice16_on(Backend::Swar, acc, c, src);
-    }
-    pub(crate) fn mul16(row: &mut [Gf65536], c: Gf65536) {
-        bulk::mul_slice16_on(Backend::Swar, row, c);
-    }
-    pub(crate) fn dot16(a: &[Gf65536], b: &[Gf65536]) -> Option<Gf65536> {
-        let _ = (a, b);
-        None
     }
 }
 

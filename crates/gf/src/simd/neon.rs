@@ -4,35 +4,21 @@
 //! NEON is baseline on aarch64, so unlike the x86_64 module there is no
 //! width split — everything runs on 128-bit vectors. The structure
 //! mirrors [`super::x86`]: safe wrappers around `#[target_feature]`
-//! inner loops, scalar table-row tails, and byte reinterpretation of
-//! `#[repr(transparent)]` [`Gf65536`] slices (aarch64 runs
-//! little-endian here, matching the `u16` lo/hi byte-plane layout the
-//! kernels assume).
+//! inner loops and scalar table-row tails.
 //!
-//! Two conveniences x86 lacks:
-//!
-//! * `vld2q_u8`/`vst2q_u8` deinterleave/reinterleave the GF(2¹⁶) lo/hi
-//!   byte planes for free during the load/store itself;
-//! * `vmull_p8` is a native 8-lane carry-less 8×8→16 multiply, so the
-//!   GF(2⁸) dot product accumulates unreduced lane products directly,
-//!   and the GF(2¹⁶) dot splits each 16×16 product into four 8×8
-//!   partials (schoolbook over byte planes) with one reduction at the
-//!   end.
+//! One convenience x86 lacks: `vmull_p8` is a native 8-lane carry-less
+//! 8×8→16 multiply, so the dot product accumulates unreduced lane
+//! products directly, with one reduction at the end.
 
 use std::arch::aarch64::*;
 
 use crate::bulk;
-use crate::gf65536::{self, Gf65536};
 use crate::simd::tables::{self, NIB8};
 
 /// Matches the x86 kernel: outputs fused per group of four accumulators.
 pub(crate) const FUSED_GROUP: usize = 4;
 
-/// Minimum element count for the GF(2¹⁶) table kernels (the per-call
-/// 128-byte table build must amortize), as on x86.
-pub(crate) const MIN_LEN16: usize = 64;
-
-// ---- GF(2⁸) slice transforms ----------------------------------------------
+// ---- slice transforms -----------------------------------------------------
 
 const OP_AXPY: u8 = 0;
 const OP_MUL_INTO: u8 = 1;
@@ -168,7 +154,7 @@ pub(crate) fn xor_mul8(dst: &mut [u8], c: u8, pad: &[u8]) {
     }
 }
 
-// ---- GF(2⁸) fused multi-accumulator ---------------------------------------
+// ---- fused multi-accumulator ----------------------------------------------
 
 /// NEON fused multi-accumulator kernel, as `fused8_avx2` on x86.
 ///
@@ -255,7 +241,7 @@ pub(crate) fn fused8(outs: &mut [&mut [u8]], coeffs: &[u8], srcs: &[&[u8]]) {
     }
 }
 
-// ---- dot products (vmull_p8) ----------------------------------------------
+// ---- dot product (vmull_p8) -----------------------------------------------
 
 /// Horizontal XOR of eight 16-bit lanes. Safe: the only memory touched
 /// is a local array.
@@ -313,185 +299,4 @@ pub(crate) fn dot8(a: &[u8], b: &[u8]) -> Option<u8> {
         acc ^= bulk::mul_row(x)[y as usize];
     }
     Some(acc)
-}
-
-/// GF(2¹⁶) dot core: each 16×16 carry-less product splits into four
-/// 8×8 partials over the `vld2q_u8`-deinterleaved byte planes —
-/// `a·b = aₗbₗ ⊕ (aₗbₕ ⊕ aₕbₗ)·x⁸ ⊕ aₕbₕ·x¹⁶` — each partial an
-/// 8-lane `vmull_p8`, accumulated per partial and recombined once at
-/// the end. Returns the unreduced 31-bit accumulator and elements
-/// consumed.
-///
-/// # Safety
-///
-/// `a` and `b` must each be valid for `2 · len_elems` bytes.
-#[target_feature(enable = "neon")]
-unsafe fn dot16_neon(a: *const u8, b: *const u8, len_elems: usize) -> (u64, usize) {
-    // SAFETY: per the fn contract, byte offsets stay `< 2 · len_elems`
-    // and the deinterleaving loads are unaligned ops.
-    unsafe {
-        let mut acc_ll = vdupq_n_u16(0);
-        let mut acc_mid = vdupq_n_u16(0);
-        let mut acc_hh = vdupq_n_u16(0);
-        let n = len_elems / 16 * 16;
-        let mut i = 0usize;
-        while i < n * 2 {
-            let va = vld2q_u8(a.add(i)); // va.0 = lo bytes, va.1 = hi bytes
-            let vb = vld2q_u8(b.add(i));
-            let (al_l, al_h) = (
-                vreinterpret_p8_u8(vget_low_u8(va.0)),
-                vreinterpret_p8_u8(vget_high_u8(va.0)),
-            );
-            let (ah_l, ah_h) = (
-                vreinterpret_p8_u8(vget_low_u8(va.1)),
-                vreinterpret_p8_u8(vget_high_u8(va.1)),
-            );
-            let (bl_l, bl_h) = (
-                vreinterpret_p8_u8(vget_low_u8(vb.0)),
-                vreinterpret_p8_u8(vget_high_u8(vb.0)),
-            );
-            let (bh_l, bh_h) = (
-                vreinterpret_p8_u8(vget_low_u8(vb.1)),
-                vreinterpret_p8_u8(vget_high_u8(vb.1)),
-            );
-            acc_ll = veorq_u16(acc_ll, vreinterpretq_u16_p16(vmull_p8(al_l, bl_l)));
-            acc_ll = veorq_u16(acc_ll, vreinterpretq_u16_p16(vmull_p8(al_h, bl_h)));
-            acc_mid = veorq_u16(acc_mid, vreinterpretq_u16_p16(vmull_p8(al_l, bh_l)));
-            acc_mid = veorq_u16(acc_mid, vreinterpretq_u16_p16(vmull_p8(al_h, bh_h)));
-            acc_mid = veorq_u16(acc_mid, vreinterpretq_u16_p16(vmull_p8(ah_l, bl_l)));
-            acc_mid = veorq_u16(acc_mid, vreinterpretq_u16_p16(vmull_p8(ah_h, bl_h)));
-            acc_hh = veorq_u16(acc_hh, vreinterpretq_u16_p16(vmull_p8(ah_l, bh_l)));
-            acc_hh = veorq_u16(acc_hh, vreinterpretq_u16_p16(vmull_p8(ah_h, bh_h)));
-            i += 32;
-        }
-        let ll = xor_across_u16(acc_ll) as u64;
-        let mid = xor_across_u16(acc_mid) as u64;
-        let hh = xor_across_u16(acc_hh) as u64;
-        (ll ^ (mid << 8) ^ (hh << 16), n)
-    }
-}
-
-/// Dot product `Σ a[i]·b[i]` over GF(2¹⁶). Always available on NEON.
-pub(crate) fn dot16(a: &[Gf65536], b: &[Gf65536]) -> Option<Gf65536> {
-    debug_assert_eq!(a.len(), b.len());
-    // SAFETY: NEON is baseline; `#[repr(transparent)]` slices cover
-    // `2 · len` bytes.
-    let (un, n) = unsafe { dot16_neon(a.as_ptr() as *const u8, b.as_ptr() as *const u8, a.len()) };
-    let mut acc = tables::reduce31(un);
-    let t = gf65536::tables();
-    for (&x, &y) in a[n..].iter().zip(&b[n..]) {
-        if x.0 != 0 && y.0 != 0 {
-            acc ^= t.exp[t.log[x.0 as usize] as usize + t.log[y.0 as usize] as usize];
-        }
-    }
-    Some(Gf65536(acc))
-}
-
-// ---- GF(2¹⁶) slice transforms ---------------------------------------------
-
-const OP16_AXPY: u8 = 0;
-const OP16_MUL: u8 = 1;
-
-/// NEON GF(2¹⁶) engine over 16-element (32-byte) blocks; `vld2q_u8`
-/// hands the kernels deinterleaved lo/hi byte planes directly. Returns
-/// elements processed.
-///
-/// # Safety
-///
-/// `dst` and `src` must each be valid for `2 · len_elems` bytes (`dst`
-/// for writes; equal pointers are fine, partial overlap is not).
-#[target_feature(enable = "neon")]
-unsafe fn transform16<const OP: u8>(
-    dst: *mut u8,
-    src: *const u8,
-    len_elems: usize,
-    tab: &[u8; 128],
-) -> usize {
-    // SAFETY: per the fn contract, byte offsets stay `< 2 · len_elems`;
-    // `tab` covers 128 bytes so `tab + o` is in bounds for every
-    // `o ≤ 112` used below.
-    unsafe {
-        let tl0 = vld1q_u8(tab.as_ptr());
-        let tl1 = vld1q_u8(tab.as_ptr().add(16));
-        let tl2 = vld1q_u8(tab.as_ptr().add(32));
-        let tl3 = vld1q_u8(tab.as_ptr().add(48));
-        let th0 = vld1q_u8(tab.as_ptr().add(64));
-        let th1 = vld1q_u8(tab.as_ptr().add(80));
-        let th2 = vld1q_u8(tab.as_ptr().add(96));
-        let th3 = vld1q_u8(tab.as_ptr().add(112));
-        let nib = vdupq_n_u8(0x0f);
-        let n = len_elems / 16 * 16;
-        let mut i = 0usize; // byte index
-        while i < n * 2 {
-            let v = vld2q_u8(src.add(i));
-            let n0 = vandq_u8(v.0, nib);
-            let n1 = vshrq_n_u8(v.0, 4);
-            let n2 = vandq_u8(v.1, nib);
-            let n3 = vshrq_n_u8(v.1, 4);
-            let rlo = veorq_u8(
-                veorq_u8(vqtbl1q_u8(tl0, n0), vqtbl1q_u8(tl1, n1)),
-                veorq_u8(vqtbl1q_u8(tl2, n2), vqtbl1q_u8(tl3, n3)),
-            );
-            let rhi = veorq_u8(
-                veorq_u8(vqtbl1q_u8(th0, n0), vqtbl1q_u8(th1, n1)),
-                veorq_u8(vqtbl1q_u8(th2, n2), vqtbl1q_u8(th3, n3)),
-            );
-            let out = if OP == OP16_AXPY {
-                let d = vld2q_u8(dst.add(i));
-                uint8x16x2_t(veorq_u8(d.0, rlo), veorq_u8(d.1, rhi))
-            } else {
-                uint8x16x2_t(rlo, rhi)
-            };
-            vst2q_u8(dst.add(i), out);
-            i += 32;
-        }
-        n
-    }
-}
-
-#[inline]
-fn run_transform16<const OP: u8>(
-    dst: *mut u8,
-    src: *const u8,
-    len_elems: usize,
-    c: Gf65536,
-) -> usize {
-    let tab = tables::tab16(c);
-    // SAFETY: NEON is baseline; pointers cover `2 · len_elems` bytes.
-    unsafe { transform16::<OP>(dst, src, len_elems, &tab) }
-}
-
-/// `acc[i] ^= c · src[i]` over GF(2¹⁶) (generic `c`).
-pub(crate) fn axpy16(acc: &mut [Gf65536], c: Gf65536, src: &[Gf65536]) {
-    debug_assert_eq!(acc.len(), src.len());
-    let n = run_transform16::<OP16_AXPY>(
-        acc.as_mut_ptr() as *mut u8,
-        src.as_ptr() as *const u8,
-        acc.len(),
-        c,
-    );
-    let t = gf65536::tables();
-    let lc = t.log[c.0 as usize] as usize;
-    for (a, &s) in acc[n..].iter_mut().zip(&src[n..]) {
-        if s.0 != 0 {
-            a.0 ^= t.exp[lc + t.log[s.0 as usize] as usize];
-        }
-    }
-}
-
-/// `row[i] = c · row[i]` over GF(2¹⁶) (generic `c`, in place).
-pub(crate) fn mul16(row: &mut [Gf65536], c: Gf65536) {
-    let n = run_transform16::<OP16_MUL>(
-        row.as_mut_ptr() as *mut u8,
-        row.as_ptr() as *const u8,
-        row.len(),
-        c,
-    );
-    let t = gf65536::tables();
-    let lc = t.log[c.0 as usize] as usize;
-    for v in row[n..].iter_mut() {
-        if v.0 != 0 {
-            v.0 = t.exp[lc + t.log[v.0 as usize] as usize];
-        }
-    }
 }

@@ -1,28 +1,24 @@
 //! Daemon tasks: async drivers around the sans-IO engines.
 //!
-//! Three shapes, mirroring (and extending) the paper's per-node
-//! multi-threaded daemon (§7.1):
+//! One way to start a node, mirroring (and extending) the paper's
+//! per-node multi-threaded daemon (§7.1): [`spawn_node`] runs any
+//! combination of relay, source and destination roles over shared
+//! transports.
 //!
-//! * [`spawn_relay`] — the classic single-task daemon: one worker task
-//!   owns the node's single [`RelayShard`] (fed straight from the
-//!   port's inbox), so a relay uses at most one core.
-//! * [`spawn_sharded_relay`] — the sharded runtime: one **ingress** task
-//!   peeks just the flow id out of each received buffer and dispatches
-//!   the frozen [`Bytes`] over an SPSC channel to the worker owning that
-//!   flow's [`RelayShard`]; each **worker** drives its shard (packets,
-//!   plus a sleep until the shard's next wheel deadline — no periodic
-//!   tick) and owns its own egress sender, batching consecutive
-//!   sends to the same neighbour before awaiting the transport. Flows
-//!   have shard affinity (`hash(flow_id) % N` via the shared
-//!   [`FlowRouter`]), so shards never contend on flow state and a relay
-//!   scales across cores.
-//! * [`spawn_node`] — the combined node: relay, source and destination
-//!   roles concurrently over shared transports. Every port's ingress
-//!   peeks the flow id and routes the buffer to either the relay plane
-//!   (shard workers, as above) or the session plane (a
-//!   [`slicing_core::SessionManager`] split into per-shard workers that
-//!   host thousands of source/destination endpoints). Receiver flows
-//!   established by the relay plane get a colocated
+//! * Every port's **ingress** task peeks the flow id out of each
+//!   received buffer and routes the frozen [`Bytes`] to either the relay
+//!   plane or the session plane.
+//! * The relay plane is one **worker** per [`RelayShard`]: it drives its
+//!   shard (packets, plus a sleep until the shard's next wheel deadline
+//!   — no periodic tick) and owns its own egress sender, batching sends
+//!   to the same neighbour before awaiting the transport. Flows have
+//!   shard affinity (`hash(flow_id) % N` via the shared [`FlowRouter`]),
+//!   so shards never contend on flow state and a relay scales across
+//!   cores.
+//! * The session plane is a [`slicing_core::SessionManager`] split into
+//!   per-shard workers that host thousands of source/destination
+//!   endpoints.
+//! * Receiver flows established by the relay plane get a colocated
 //!   [`DestSession`] in their owning shard worker — flow affinity means
 //!   the destination role adds no locks to the packet path — while the
 //!   relay keeps forwarding downstream so neighbours cannot tell the
@@ -44,10 +40,9 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use slicing_core::wheel::TimerWheel;
 use slicing_core::{
-    DestSession, FlowRouter, OverlayAddr, Packet, RelayNode, RelayOutput, RelayShard,
-    RelayStatsAtomic, SessionConfig, SessionError, SessionId, SessionManager, SessionOutput,
-    SessionRouter, SessionShard, SessionStats, SessionStatsAtomic, ShardedRelay, SourceSession,
-    Tick,
+    DestSession, FlowRouter, OverlayAddr, Packet, RelayOutput, RelayShard, RelayStatsAtomic,
+    SessionConfig, SessionError, SessionId, SessionManager, SessionOutput, SessionRouter,
+    SessionShard, SessionStats, SessionStatsAtomic, ShardedRelay, SourceSession, Tick,
 };
 use slicing_graph::packets::SendInstr;
 use slicing_onion::{OnionPacket, OnionRelay};
@@ -122,60 +117,6 @@ fn emit_events(
     }
 }
 
-/// A running relay daemon: the spawned task(s) plus a shutdown line.
-///
-/// Dropping the handle also stops the daemon (the stop channel closes),
-/// so harnesses that collect daemons in a `Vec` clean up by dropping it.
-pub struct RelayDaemon {
-    stop: mpsc::Sender<()>,
-    join: tokio::task::JoinHandle<()>,
-}
-
-impl RelayDaemon {
-    /// Ask the daemon to exit its loop cleanly (pending work published,
-    /// shard channels drained and closed) and wait until it has.
-    ///
-    /// Used by the churn driver to take a node off the overlay mid-flow:
-    /// on TCP the node's port closes and peers' cached connections fail
-    /// over to datagram drops, exactly like a crashed process.
-    pub async fn shutdown(self) {
-        let _ = self.stop.send(()).await;
-        let _ = self.join.await;
-    }
-
-    /// Hard-abort the daemon task (tests and teardown).
-    pub fn abort(&self) {
-        self.join.abort();
-    }
-}
-
-/// The stop line a worker loop selects on. For the single-shard daemon
-/// it is the daemon's real stop channel; sharded workers get a dormant
-/// line (the ingress dispatcher owns the real one and stopping it closes
-/// every worker's inbox instead).
-struct StopLine {
-    rx: mpsc::Receiver<()>,
-    /// Keeps a dormant line from resolving (a closed channel would).
-    _keep: Option<mpsc::Sender<()>>,
-}
-
-impl StopLine {
-    /// A line wired to `rx`: resolves on an explicit stop *or* when the
-    /// daemon handle is dropped.
-    fn live(rx: mpsc::Receiver<()>) -> Self {
-        StopLine { rx, _keep: None }
-    }
-
-    /// A line that never resolves.
-    fn dormant() -> Self {
-        let (tx, rx) = mpsc::channel(1);
-        StopLine {
-            rx,
-            _keep: Some(tx),
-        }
-    }
-}
-
 /// Transmit `sends`, grouping consecutive sends to the same neighbour
 /// into one transport batch (`scratch` is reused across calls).
 async fn flush_sends(
@@ -205,145 +146,14 @@ async fn flush_sends(
     batches.retain(|(_, frames)| frames.capacity() > 0);
 }
 
-/// Spawn a slicing relay daemon on `port`; runs until the port closes.
-///
-/// `epoch` anchors the Tick clock so all daemons share a timeline.
-/// This is the one-shard case of the sharded runtime: the node's single
-/// [`RelayShard`] is driven by the same worker loop, with the port's
-/// inbox as its packet channel (no ingress dispatcher needed).
-pub fn spawn_relay(
-    relay: RelayNode,
-    port: NodePort,
-    events: mpsc::UnboundedSender<OverlayEvent>,
-    epoch: Instant,
-) -> RelayDaemon {
-    let (shard, _router, _stats) = relay.into_parts();
-    let (stop_tx, stop_rx) = mpsc::channel(1);
-    RelayDaemon {
-        stop: stop_tx,
-        join: tokio::spawn(shard_worker(
-            shard,
-            port.rx,
-            port.tx,
-            events,
-            epoch,
-            StopLine::live(stop_rx),
-            None,
-        )),
-    }
-}
-
-/// Spawn a sharded relay: one ingress dispatcher plus one worker task
-/// per shard, all on `port`. Runs until the port closes or the daemon
-/// is [shut down](RelayDaemon::shutdown) — stopping the ingress drops
-/// the shard channels, which shuts the workers down.
-///
-/// # Example
-///
-/// Run one 4-way sharded relay on the in-process emulated network,
-/// watch it count an unparseable frame through the shared stats, and
-/// shut it down cleanly:
-///
-/// ```
-/// use std::time::{Duration, Instant};
-/// use slicing_core::{OverlayAddr, ShardedRelay};
-/// use slicing_overlay::{spawn_sharded_relay, EmulatedNet};
-/// use slicing_sim::wan::NetProfile;
-/// use tokio::sync::mpsc;
-///
-/// #[tokio::main]
-/// async fn main() {
-///     let net = EmulatedNet::new(NetProfile::lan(), 1);
-///     let port = net.attach(OverlayAddr(10));
-///     let sender = net.attach(OverlayAddr(11));
-///     let relay = ShardedRelay::new(OverlayAddr(10), 7, 4);
-///     let stats = relay.shared_stats();
-///     let (events, _events_rx) = mpsc::unbounded_channel();
-///     let daemon = spawn_sharded_relay(relay, port, events, Instant::now());
-///
-///     // Anything sent to OverlayAddr(10) is peeked for its flow id and
-///     // dispatched to the shard owning that flow; garbage dies at the
-///     // ingress and is counted in the shared stats.
-///     sender.tx.send(OverlayAddr(10), bytes::Bytes::from(&b"junk"[..])).await;
-///     while stats.snapshot().garbage == 0 {
-///         tokio::time::sleep(Duration::from_millis(5)).await;
-///     }
-///     daemon.shutdown().await;
-/// }
-/// ```
-pub fn spawn_sharded_relay(
-    relay: ShardedRelay,
-    port: NodePort,
-    events: mpsc::UnboundedSender<OverlayEvent>,
-    epoch: Instant,
-) -> RelayDaemon {
-    let (shards, router, stats) = relay.into_parts();
-    let mut shard_txs = Vec::with_capacity(shards.len());
-    for shard in shards {
-        let (stx, srx) = mpsc::channel::<(OverlayAddr, Bytes)>(1024);
-        tokio::spawn(shard_worker(
-            shard,
-            srx,
-            port.tx.clone(),
-            events.clone(),
-            epoch,
-            StopLine::dormant(),
-            None,
-        ));
-        shard_txs.push(stx);
-    }
-    let (stop_tx, stop_rx) = mpsc::channel(1);
-    RelayDaemon {
-        stop: stop_tx,
-        join: tokio::spawn(ingress(port, router, shard_txs, stats, stop_rx)),
-    }
-}
-
-/// The ingress dispatcher: peek the flow id, pick the shard, hand the
-/// frozen receive buffer over. Full packet validation happens in the
-/// owning shard — the dispatcher reads 12 bytes per packet and never
-/// blocks on protocol work.
-async fn ingress(
-    mut port: NodePort,
-    router: FlowRouter,
-    shard_txs: Vec<mpsc::Sender<(OverlayAddr, Bytes)>>,
-    stats: Arc<RelayStatsAtomic>,
-    mut stop: mpsc::Receiver<()>,
-) {
-    loop {
-        let received = tokio::select! {
-            maybe = port.rx.recv() => maybe,
-            // Clean shutdown (or daemon handle dropped): stop
-            // dispatching; dropping `shard_txs` below drains the
-            // workers out.
-            _ = stop.recv() => None,
-        };
-        let Some((from, bytes)) = received else { break };
-        match peek_flow_id(&bytes) {
-            Some(flow) => {
-                let idx = router.route(flow);
-                // Datagram semantics: if one shard's worker is stalled
-                // behind a slow neighbour and its inbox is full, shed
-                // this packet rather than blocking dispatch to the
-                // other N−1 shards.
-                if shard_txs[idx].try_send((from, bytes)).is_err() {
-                    stats.record_drop();
-                }
-            }
-            None => stats.record_garbage(),
-        }
-    }
-    // Port closed or stopped: dropping `shard_txs` closes every
-    // worker's inbox.
-}
-
 /// One shard's worker: owns the shard, drives packets and the shard's
 /// timer wheel, reports events, and transmits through its own egress
 /// handle with consecutive same-neighbour sends batched.
 ///
 /// The worker sleeps until the earliest wheel deadline (its own or a
-/// colocated destination session's), a packet, or a stop — there is no
-/// periodic tick. One [`tokio::time::Sleep`] is kept and reset only when
+/// colocated destination session's) or a packet — there is no periodic
+/// tick. It exits when its inbox closes, i.e. once every ingress feeding
+/// it has exited. One [`tokio::time::Sleep`] is kept and reset only when
 /// that deadline moves. The timer arm is selected first, so sustained
 /// traffic cannot starve a due gather flush or flow GC.
 ///
@@ -359,7 +169,6 @@ async fn shard_worker(
     tx: PortSender,
     events: mpsc::UnboundedSender<OverlayEvent>,
     epoch: Instant,
-    mut stop: StopLine,
     dest_spec: Option<DestSessionSpec>,
 ) {
     let addr = shard.addr();
@@ -400,9 +209,6 @@ async fn shard_worker(
                 let Some((from, bytes)) = maybe else { break };
                 handle(&mut shard, from, bytes)
             }
-            // Clean mid-flow shutdown (single-shard daemons; sharded
-            // workers stop when the ingress closes their inbox).
-            _ = stop.rx.recv() => break,
         };
         // Drain whatever else is already queued before touching the
         // network, so bursts produce dense egress batches.
@@ -419,7 +225,7 @@ async fn shard_worker(
         flush_sends(&tx, outputs, &mut scratch).await;
         shard.publish_stats();
     }
-    // Exiting (port closed or shutdown): leave the shared stats exact.
+    // Exiting (every ingress gone): leave the shared stats exact.
     shard.publish_stats();
 }
 
@@ -849,7 +655,11 @@ pub struct NodeSpec {
     pub epoch: Instant,
 }
 
-/// A running combined node.
+/// A running node.
+///
+/// Dropping the handle also stops the node (every ingress's stop channel
+/// closes), so harnesses that collect nodes in a `Vec` clean up by
+/// dropping it.
 pub struct NodeHandle {
     stops: Vec<mpsc::Sender<()>>,
     joins: Vec<tokio::task::JoinHandle<()>>,
@@ -860,6 +670,10 @@ pub struct NodeHandle {
 impl NodeHandle {
     /// Ask every ingress to exit (workers drain out when their inboxes
     /// close) and wait for the ingress tasks.
+    ///
+    /// Used by the churn driver to take a node off the overlay mid-flow:
+    /// on TCP the node's port closes and peers' cached connections fail
+    /// over to datagram drops, exactly like a crashed process.
     pub async fn shutdown(self) {
         for stop in &self.stops {
             let _ = stop.send(()).await;
@@ -901,6 +715,48 @@ struct IngressRouting {
 /// when `dest_sessions` is set, so one node terminates, originates and
 /// forwards traffic concurrently — with flow/session affinity keeping
 /// every packet path lock-free.
+///
+/// # Example
+///
+/// Run one relay-only node with 4 shards on the in-process emulated
+/// network, watch it count an unparseable frame through the shared
+/// stats, and shut it down cleanly:
+///
+/// ```
+/// use std::time::{Duration, Instant};
+/// use slicing_core::{OverlayAddr, ShardedRelay};
+/// use slicing_overlay::{spawn_node, EmulatedNet, NodeSpec};
+/// use slicing_sim::wan::NetProfile;
+/// use tokio::sync::mpsc;
+///
+/// #[tokio::main]
+/// async fn main() {
+///     let net = EmulatedNet::new(NetProfile::lan(), 1);
+///     let port = net.attach(OverlayAddr(10));
+///     let sender = net.attach(OverlayAddr(11));
+///     let relay = ShardedRelay::new(OverlayAddr(10), 7, 4);
+///     let stats = relay.shared_stats();
+///     let (events, _events_rx) = mpsc::unbounded_channel();
+///     let node = spawn_node(NodeSpec {
+///         relay: Some(relay),
+///         sessions: None,
+///         ports: vec![port],
+///         dest_sessions: None,
+///         events,
+///         session_events: None,
+///         epoch: Instant::now(),
+///     });
+///
+///     // Anything sent to OverlayAddr(10) is peeked for its flow id and
+///     // dispatched to the shard owning that flow; garbage dies at the
+///     // ingress and is counted in the shared stats.
+///     sender.tx.send(OverlayAddr(10), bytes::Bytes::from(&b"junk"[..])).await;
+///     while stats.snapshot().garbage == 0 {
+///         tokio::time::sleep(Duration::from_millis(5)).await;
+///     }
+///     node.shutdown().await;
+/// }
+/// ```
 pub fn spawn_node(spec: NodeSpec) -> NodeHandle {
     let NodeSpec {
         relay,
@@ -939,7 +795,6 @@ pub fn spawn_node(spec: NodeSpec) -> NodeHandle {
                 relay_tx.clone(),
                 events.clone(),
                 epoch,
-                StopLine::dormant(),
                 dest_sessions.clone(),
             ));
             shard_txs.push(stx);
@@ -1251,11 +1106,11 @@ fn emit_session_events(
 
 /// Transmit `sends` through a per-address egress map, grouping every
 /// send that shares a `(from, to)` pair across the whole flush into one
-/// transport call — one connection-cache probe on TCP, one
-/// `sendmmsg`-shaped syscall on UDP. A relay generation fans its `d`
-/// packets out to *different* next hops, so same-destination sends
-/// interleave rather than run consecutively; grouping across the flush
-/// is what makes the batches dense. Per-destination order is preserved
+/// transport call — one connection-cache probe on TCP, one batch call on
+/// UDP (which still makes one `send_to` syscall per datagram). A relay
+/// generation fans its `d` packets out to *different* next hops, so
+/// same-destination sends interleave rather than run consecutively;
+/// grouping across the flush is what makes the batches dense. Per-destination order is preserved
 /// (the only order a datagram transport carries); ordering *between*
 /// destinations has no protocol meaning. Sends from addresses the node
 /// does not own are dropped (a mis-addressed instruction, not a
@@ -1348,34 +1203,43 @@ mod tests {
         crate::testutil::wait_until(|| stats.snapshot(), cond).await
     }
 
+    /// A relay-only node over `shards` shards on an emulated port.
+    fn relay_node(net: &EmulatedNet, shards: usize) -> (NodeHandle, Arc<RelayStatsAtomic>) {
+        let relay = ShardedRelay::new(OverlayAddr(10), 7, shards);
+        let stats = relay.shared_stats();
+        let (events, _events_rx) = mpsc::unbounded_channel();
+        let node = spawn_node(NodeSpec {
+            relay: Some(relay),
+            sessions: None,
+            ports: vec![net.attach(OverlayAddr(10))],
+            dest_sessions: None,
+            events,
+            session_events: None,
+            epoch: Instant::now(),
+        });
+        (node, stats)
+    }
+
     #[tokio::test]
     async fn relay_daemon_drops_garbage() {
         let net = EmulatedNet::new(NetProfile::lan(), 1);
-        let relay_port = net.attach(OverlayAddr(10));
         let sender = net.attach(OverlayAddr(11));
-        let (events_tx, _events_rx) = mpsc::unbounded_channel();
-        let relay = RelayNode::new(OverlayAddr(10), 7);
-        let stats = relay.shared_stats();
-        let handle = spawn_relay(relay, relay_port, events_tx, Instant::now());
+        let (node, stats) = relay_node(&net, 1);
         sender
             .tx
             .send(OverlayAddr(10), bytes::Bytes::from(&b"not a packet"[..]))
             .await;
         let seen = wait_stats(&stats, |s| s.garbage >= 1).await;
-        assert_eq!(seen.garbage, 1, "daemon must count the unparseable frame");
+        assert_eq!(seen.garbage, 1, "node must count the unparseable frame");
         assert_eq!(seen.packets_in, 0, "garbage never reaches the engine");
-        handle.abort();
+        node.abort();
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn sharded_daemon_drops_garbage_at_ingress() {
         let net = EmulatedNet::new(NetProfile::lan(), 2);
-        let relay_port = net.attach(OverlayAddr(10));
         let sender = net.attach(OverlayAddr(11));
-        let (events_tx, _events_rx) = mpsc::unbounded_channel();
-        let relay = ShardedRelay::new(OverlayAddr(10), 7, 4);
-        let stats = relay.shared_stats();
-        let handle = spawn_sharded_relay(relay, relay_port, events_tx, Instant::now());
+        let (node, stats) = relay_node(&net, 4);
         // Fails the ingress peek (bad magic): counted by the dispatcher.
         sender
             .tx
@@ -1401,6 +1265,6 @@ mod tests {
             .await;
         let seen = wait_stats(&stats, |s| s.garbage >= 2).await;
         assert_eq!(seen.garbage, 2, "both rejects must be counted");
-        handle.abort();
+        node.abort();
     }
 }

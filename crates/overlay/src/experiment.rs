@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use slicing_core::{
-    DestPlacement, GraphParams, OverlayAddr, RelayConfig, RelayNode, SessionConfig,
-    SessionManager, ShardedRelay, SourceConfig, SourceSession,
+    DestPlacement, GraphParams, OverlayAddr, RelayConfig, SessionConfig, SessionManager,
+    ShardedRelay, SourceConfig, SourceSession,
 };
 use slicing_graph::packets::SendInstr;
 use slicing_onion::{Directory, OnionRelay, OnionSource};
@@ -19,33 +19,10 @@ use slicing_sim::wan::NetProfile;
 use tokio::sync::mpsc;
 
 use crate::daemon::{
-    now_tick, spawn_node, spawn_onion_relay, spawn_relay, spawn_sharded_relay, DestSessionSpec,
-    NodeSpec, OverlayEvent, RelayDaemon, SessionEvent,
+    now_tick, spawn_node, spawn_onion_relay, DestSessionSpec, NodeHandle, NodeSpec, OverlayEvent,
+    SessionEvent,
 };
 use crate::{EmulatedNet, NodePort, TcpNet, UdpFaults, UdpNet, UdpStatsSnapshot};
-
-/// Spawn one relay daemon: the classic single-task loop for one shard,
-/// the sharded ingress/worker runtime otherwise.
-fn spawn_relay_daemon(
-    addr: OverlayAddr,
-    seed: u64,
-    config: RelayConfig,
-    shards: usize,
-    port: NodePort,
-    events: mpsc::UnboundedSender<OverlayEvent>,
-    epoch: Instant,
-) -> RelayDaemon {
-    if shards > 1 {
-        spawn_sharded_relay(
-            ShardedRelay::with_config(addr, seed, config, shards),
-            port,
-            events,
-            epoch,
-        )
-    } else {
-        spawn_relay(RelayNode::with_config(addr, seed, config), port, events, epoch)
-    }
-}
 
 /// Which transport to measure over.
 #[derive(Clone, Debug)]
@@ -74,8 +51,7 @@ pub struct TransferConfig {
     pub seed: u64,
     /// Hard deadline for the whole run.
     pub timeout: Duration,
-    /// Shards per relay daemon (1 = classic single-task daemons; more
-    /// runs every relay through the sharded ingress/worker runtime).
+    /// Shards per relay node (one worker task each).
     pub relay_shards: usize,
     /// Relay engine tuning (timeouts, keepalive/liveness intervals).
     pub relay_config: RelayConfig,
@@ -183,26 +159,22 @@ pub async fn run_slicing_transfer(cfg: &TransferConfig) -> TransferReport {
     let (events_tx, mut events_rx) = mpsc::unbounded_channel();
     let epoch = Instant::now();
     let mut handles = Vec::new();
-    for port in relay_ports {
-        handles.push(spawn_relay_daemon(
-            port.addr,
-            cfg.seed,
-            cfg.relay_config,
-            cfg.relay_shards,
-            port,
-            events_tx.clone(),
+    for port in relay_ports.into_iter().chain(std::iter::once(dest_port)) {
+        handles.push(spawn_node(NodeSpec {
+            relay: Some(ShardedRelay::with_config(
+                port.addr,
+                cfg.seed,
+                cfg.relay_config,
+                cfg.relay_shards,
+            )),
+            sessions: None,
+            ports: vec![port],
+            dest_sessions: None,
+            events: events_tx.clone(),
+            session_events: None,
             epoch,
-        ));
+        }));
     }
-    handles.push(spawn_relay_daemon(
-        dest_addr,
-        cfg.seed,
-        cfg.relay_config,
-        cfg.relay_shards,
-        dest_port,
-        events_tx.clone(),
-        epoch,
-    ));
 
     // Source: build graph, emit setup from the pseudo-source ports.
     let (mut source, setup) = SourceSession::establish(
@@ -409,7 +381,7 @@ pub struct MultiFlowReport {
 
 /// Fig. 13: `flows` concurrent anonymous flows over a shared overlay of
 /// `overlay_size` relay nodes (the paper: 100 nodes, d = 3, L = 5),
-/// each relay sharded `relay_shards` ways (1 = classic daemons).
+/// each relay sharded `relay_shards` ways.
 ///
 /// Built on the combined-node runtime: every overlay node is a
 /// [`spawn_node`] hosting relay + destination roles (receiver flows get
@@ -947,34 +919,23 @@ pub async fn run_churn_session(cfg: &ChurnSessionConfig) -> ChurnSessionReport {
     // Daemons, addressable for mid-session kills.
     let (events_tx, mut events_rx) = mpsc::unbounded_channel();
     let epoch = Instant::now();
-    let mut daemons: HashMap<OverlayAddr, RelayDaemon> = HashMap::new();
-    for port in relay_ports {
+    let mut daemons: HashMap<OverlayAddr, NodeHandle> = HashMap::new();
+    for port in relay_ports.into_iter().chain(std::iter::once(dest_port)) {
         let addr = port.addr;
+        let relay = ShardedRelay::with_config(addr, cfg.seed, cfg.relay_config, cfg.relay_shards);
         daemons.insert(
             addr,
-            spawn_relay_daemon(
-                addr,
-                cfg.seed,
-                cfg.relay_config,
-                cfg.relay_shards,
-                port,
-                events_tx.clone(),
+            spawn_node(NodeSpec {
+                relay: Some(relay),
+                sessions: None,
+                ports: vec![port],
+                dest_sessions: None,
+                events: events_tx.clone(),
+                session_events: None,
                 epoch,
-            ),
+            }),
         );
     }
-    daemons.insert(
-        dest_addr,
-        spawn_relay_daemon(
-            dest_addr,
-            cfg.seed,
-            cfg.relay_config,
-            cfg.relay_shards,
-            dest_port,
-            events_tx.clone(),
-            epoch,
-        ),
-    );
 
     // Source session, tuned to the relays' liveness plane.
     let (mut source, setup) = match SourceSession::establish(

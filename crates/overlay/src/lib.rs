@@ -10,8 +10,8 @@
 //!   local-area numbers.
 //! * [`udp::UdpNet`] — real UDP datagrams on loopback: the transport the
 //!   paper's data plane assumes, with per-neighbour delay-gradient
-//!   congestion control ([`cc`]), wheel-driven pacing and
-//!   `sendmmsg`-shaped batched egress.
+//!   congestion control ([`cc`]), wheel-driven pacing and batched
+//!   egress (one transport call per batch, one `send_to` per datagram).
 //!
 //! The daemons drive the *sans-IO* engines from `slicing-core` and
 //! `slicing-onion`; nothing protocol-level lives here.
@@ -27,8 +27,8 @@ pub mod testutil;
 pub mod udp;
 
 pub use daemon::{
-    spawn_node, spawn_onion_relay, spawn_relay, spawn_sharded_relay, DestSessionSpec, NodeHandle,
-    NodeSpec, OverlayEvent, RelayDaemon, SessionEvent, SessionHandle, StreamDelivery,
+    spawn_node, spawn_onion_relay, DestSessionSpec, NodeHandle, NodeSpec, OverlayEvent,
+    SessionEvent, SessionHandle, StreamDelivery,
 };
 pub use experiment::{run_churn_session, ChurnSessionConfig, ChurnSessionReport};
 pub use emu::EmulatedNet;
@@ -85,10 +85,10 @@ impl PortSender {
     /// Send a batch of frames to one neighbour, draining `frames` (the
     /// caller keeps the Vec's capacity). Every transport consults its
     /// shared state once per batch — the TCP connection cache, the
-    /// emulated hub's topology lock, the UDP token bucket — and UDP
-    /// additionally puts the whole batch on the wire in one
-    /// `sendmmsg`-shaped call. The sharded daemon's egress groups
-    /// consecutive same-destination sends into these batches.
+    /// emulated hub's topology lock, the UDP token bucket. On UDP the
+    /// batch still costs one `send_to` syscall per datagram. The relay
+    /// and session workers' egress groups same-destination sends into
+    /// these batches.
     pub async fn send_many(&self, to: OverlayAddr, frames: &mut Vec<Bytes>) {
         match &self.inner {
             PortSenderInner::Emu(hub) => hub.send_many(self.addr, to, frames).await,

@@ -26,12 +26,12 @@
 //! pace hint flows up into the session layer's `pace_ms`, closing the
 //! loop from transport delay to source admission.
 //!
-//! Egress is batched: the daemons already group consecutive
-//! same-neighbour sends, and [`PortSender::send_many`] forwards each
-//! group to the socket's `sendmmsg`-shaped batch call — one call (one
-//! syscall, on a kernel-backed runtime) per batch. The
-//! `datagrams_sent / send_calls` ratio in [`UdpStatsSnapshot`] makes
-//! the batching directly observable.
+//! Egress is batched: the daemons already group same-neighbour sends,
+//! and [`PortSender::send_many`] forwards each group to the socket's
+//! batch call — one call per batch, but still one `send_to` syscall per
+//! datagram (not `sendmmsg`). The `datagrams_sent / send_calls` ratio
+//! in [`UdpStatsSnapshot`] therefore counts transport calls, not
+//! syscalls.
 //!
 //! For tests and loss sweeps the net carries a deterministic
 //! fault-injecting shim ([`UdpFaults`]): seeded per-port RNGs drop,

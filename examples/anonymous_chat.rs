@@ -6,8 +6,10 @@
 
 use std::time::{Duration, Instant};
 
-use information_slicing::core::{GraphParams, OverlayAddr, RelayNode, SourceSession, Tick};
-use information_slicing::overlay::daemon::{now_tick, spawn_relay};
+use information_slicing::core::{
+    GraphParams, OverlayAddr, RelayNode, ShardedRelay, SourceSession, Tick,
+};
+use information_slicing::overlay::daemon::{now_tick, spawn_node, NodeSpec};
 use information_slicing::overlay::EmulatedNet;
 use information_slicing::sim::NetProfile;
 use information_slicing::wire::Packet;
@@ -19,18 +21,21 @@ async fn main() {
     let epoch = Instant::now();
     let (events_tx, _events_rx) = mpsc::unbounded_channel();
 
-    // Overlay relays (daemon tasks).
+    // Overlay relays (relay-only nodes, one shard each).
     let mut candidates = Vec::new();
     let mut handles = Vec::new();
     for i in 0..24u64 {
         let port = net.attach(OverlayAddr(10_000 + i));
         candidates.push(port.addr);
-        handles.push(spawn_relay(
-            RelayNode::new(port.addr, 99),
-            port,
-            events_tx.clone(),
+        handles.push(spawn_node(NodeSpec {
+            relay: Some(ShardedRelay::new(port.addr, 99, 1)),
+            sessions: None,
+            ports: vec![port],
+            dest_sessions: None,
+            events: events_tx.clone(),
+            session_events: None,
             epoch,
-        ));
+        }));
     }
 
     // Bob: driven manually in this example so he can talk back.

@@ -19,7 +19,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`gf`] | GF(2⁸)/GF(2¹⁶) arithmetic, matrices, super-regular generators |
+//! | [`gf`] | GF(2⁸) arithmetic, matrices, super-regular generators |
 //! | [`crypto`] | SHA-256, HMAC, HKDF, ChaCha20, AEAD, bignum, toy RSA |
 //! | [`codec`] | slice encode/decode, network re-coding, per-hop transforms |
 //! | [`wire`] | packet format (flow-id + constant-size slots) |
