@@ -3,7 +3,7 @@
 //! the per-session caches — and a machine-readable `BENCH_crypto.json`
 //! so CI records the perf trajectory across PRs.
 //!
-//! Self-timed (no criterion) so it runs in seconds as a CI step.
+//! Self-timed so it runs in seconds as a CI step.
 //! `--quick` (or `CRYPTO_BENCH_QUICK=1`) cuts trial counts for the CI
 //! smoke run. Output goes to stdout as the usual aligned tables and to
 //! `BENCH_crypto.json` in the current directory (`--out PATH`

@@ -2,13 +2,13 @@
 //! — and a machine-readable `BENCH_gf.json` so CI records the perf
 //! trajectory across PRs.
 //!
-//! Self-timed (no criterion) so it runs in seconds as a CI step. Each
+//! Self-timed so it runs in seconds as a CI step. Each
 //! kernel is timed over `reps` passes of a 4096 B working set (small
 //! enough to stay in L1, so this measures the kernels, not the memory
 //! bus). Output goes to stdout as the usual aligned table and to
 //! `BENCH_gf.json` in the current directory (`--out PATH` overrides).
 //!
-//! Kernels covered, matching the gf_bench criterion groups:
+//! Kernels covered:
 //! * `axpy8` / `dot8` — GF(2⁸) slice transform and dot product;
 //! * `fused8` — the 4-output × 4-source fused recombine kernel.
 

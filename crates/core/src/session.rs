@@ -1729,12 +1729,6 @@ impl SessionManager {
         self.default_config
     }
 
-    /// The router (ingress dispatchers use it to steer received buffers
-    /// to the session plane).
-    pub fn router(&self) -> &SessionRouter {
-        &self.router
-    }
-
     /// The shared atomic stats mirror.
     pub fn shared_stats(&self) -> Arc<SessionStatsAtomic> {
         Arc::clone(&self.shared)

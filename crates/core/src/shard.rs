@@ -111,10 +111,10 @@ impl FlowRouter {
 /// flow id.
 ///
 /// The synchronous front used here keeps the same `&mut self` API as
-/// [`crate::RelayNode`] (so the deterministic test network and the
-/// benches can drive either), while [`ShardedRelay::into_parts`] splits
-/// ownership for the async runtime: each shard moves into its own worker
-/// task and the [`FlowRouter`] moves into the ingress dispatcher.
+/// [`crate::RelayNode`] (so the deterministic test network can drive
+/// either), while [`ShardedRelay::into_parts`] splits ownership for the
+/// async runtime: each shard moves into its own worker task and the
+/// [`FlowRouter`] moves into the ingress dispatcher.
 pub struct ShardedRelay {
     addr: OverlayAddr,
     shards: Vec<RelayShard>,
@@ -169,12 +169,6 @@ impl ShardedRelay {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The router (exposed so drivers can pre-partition work the way
-    /// the ingress dispatcher would).
-    pub fn router(&self) -> &FlowRouter {
-        &self.router
     }
 
     /// Relay-wide counters: the sum of every shard's local counters,

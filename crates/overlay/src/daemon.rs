@@ -627,11 +627,6 @@ impl SessionHandle {
     pub fn stats(&self) -> SessionStats {
         self.stats.snapshot()
     }
-
-    /// The session router (flow registrations; shard lookup).
-    pub fn router(&self) -> &SessionRouter {
-        &self.router
-    }
 }
 
 /// Everything [`spawn_node`] needs to bring one overlay node up.
